@@ -29,6 +29,8 @@ class BraidWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
+        if self.strands < 1:
+            raise ValueError(f"need at least one strand, got {self.strands}")
         for a in self.letters:
             if a == 0 or abs(a) > self.strands - 1:
                 raise ValueError(f"letter {a} invalid on {self.strands} strands")

@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import NoReturn
 
 import click
 
@@ -27,7 +28,20 @@ EXIT_INCONCLUSIVE = 2
 
 
 def _max_group_elements(default: int = 2_000_000) -> int:
-    return int(os.environ.get("QUATBRAID_MAX_GROUP_ELEMENTS", default))
+    raw = os.environ.get("QUATBRAID_MAX_GROUP_ELEMENTS", str(default))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QUATBRAID_MAX_GROUP_ELEMENTS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _fail(message: str) -> NoReturn:
+    """Print a one-line error on stderr and exit 1."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_FAIL)
 
 
 def _emit(report: dict, json_out: str | None):
@@ -62,7 +76,10 @@ def verify(n_max, json_out):
 @click.option("--n", required=True, type=int)
 def dim(n):
     """Subalgebra dimension by span closure vs the path-count model."""
-    closure = hecke.subalgebra_dimension(n)
+    try:
+        closure = hecke.subalgebra_dimension(n)
+    except ValueError as exc:
+        _fail(str(exc))
     paths = diagrams.hecke_dimension(3, 6, n)
     ok = closure == paths
     _emit(
@@ -83,7 +100,10 @@ def dim(n):
 @click.option("--n", required=True, type=int)
 def center(n):
     """Basis of the center of the word algebra."""
-    words = algebra.center(n)
+    try:
+        words = algebra.center(n)
+    except ValueError as exc:
+        _fail(str(exc))
     _emit(
         {
             "schema": REPORT_SCHEMA,
@@ -101,8 +121,11 @@ def center(n):
 @click.option("--word", "word_str", required=True, help='letters, e.g. "1 1 1" or "1,-2,1,-2"')
 def invariant_cmd(strands, word_str):
     """Closed-braid invariant of a braid word."""
-    letters = tuple(int(x) for x in word_str.replace(",", " ").split())
-    beta = BraidWord(strands, letters)
+    try:
+        letters = tuple(int(x) for x in word_str.replace(",", " ").split())
+        beta = BraidWord(strands, letters)
+    except ValueError as exc:
+        _fail(str(exc))
     val = invariant(beta)
     _emit(
         {
@@ -122,9 +145,11 @@ def invariant_cmd(strands, word_str):
 @click.option("--max", "max_elements", default=None, type=int, help="element cap for the BFS")
 def group(n, max_elements):
     """Enumerate the signed-permutation image of the braid generators."""
-    cap = max_elements if max_elements is not None else _max_group_elements()
     try:
+        cap = max_elements if max_elements is not None else _max_group_elements()
         result = image_group.enumerate_group(n, cap)
+    except ValueError as exc:
+        _fail(str(exc))
     except image_group.EnumerationCapExceeded as exc:
         _emit(
             {
@@ -178,8 +203,7 @@ def bratteli(k, l, levels, reduced, dot_out):
 def cover_dim(seifert_path):
     """Mod-2 homology dimension of the 3-fold branched cover from a Seifert matrix."""
     if not os.path.exists(seifert_path):
-        click.echo(f"error: no such file: {seifert_path}", err=True)
-        sys.exit(EXIT_FAIL)
+        _fail(f"no such file: {seifert_path}")
     data = json.loads(open(seifert_path).read())
     if isinstance(data, dict) and "links" in data:
         entries = linktable.load_file(seifert_path)
@@ -334,8 +358,7 @@ def suite(seed, group_n_max, dim_n_max, markov_braids, max_elements, link_table,
     params = {}
     if config_path:
         if not os.path.exists(config_path):
-            click.echo(f"error: no such config: {config_path}", err=True)
-            sys.exit(EXIT_FAIL)
+            _fail(f"no such config: {config_path}")
         params.update(json.loads(open(config_path).read()))
     params.setdefault("seed", seed)
     params.setdefault("group_n_max", group_n_max)
@@ -343,16 +366,19 @@ def suite(seed, group_n_max, dim_n_max, markov_braids, max_elements, link_table,
     params.setdefault("markov_braids", markov_braids)
     if max_elements is not None:
         params["max_group_elements"] = max_elements
+    if params.get("max_group_elements") is None:
+        try:
+            params["max_group_elements"] = _max_group_elements()
+        except ValueError as exc:
+            _fail(str(exc))
     if link_table is not None:
         params["link_table_path"] = link_table
     if "link_table_path" in params and not os.path.exists(params["link_table_path"]):
-        click.echo(f"error: link table not found: {params['link_table_path']}", err=True)
-        sys.exit(EXIT_FAIL)
+        _fail(f"link table not found: {params['link_table_path']}")
     try:
         report = run_suite(**params)
     except TypeError as exc:
-        click.echo(f"error: bad config: {exc}", err=True)
-        sys.exit(EXIT_FAIL)
+        _fail(f"bad config: {exc}")
     for entry in report["checks"]:
         status = "PASS" if entry["pass"] else ("INCONCLUSIVE" if entry.get("inconclusive") else "FAIL")
         click.echo(f"[{status}] {entry['name']}: expected {entry['expected']}, got {entry['actual']}")

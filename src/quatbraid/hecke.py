@@ -8,7 +8,10 @@ with inverse (-zeta/2)(1 - u_i - v_i - u_i v_i) and associated idempotent
 f_i = (zeta - s_i)/(1 + zeta).  This module verifies the braid and quadratic
 relations, the conjugation table of s_1 on nearby generators, the Markov
 property of the trace, and computes the dimension of the unital subalgebra
-generated by the s_i via exact span closure.
+generated by the s_i via exact span closure over the integers: s_i is the
+unit -1/(2 zeta) times T_i = 1 + u_i + v_i + u_i v_i, which has integer
+coefficients, and the Q(zeta)-dimension of a span of rational vectors is
+their Q-rank.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quatbraid.algebra import AlgebraElement, Word, word_count
+from quatbraid.algebra import AlgebraElement, Word
 from quatbraid.scalar import ONE, Scalar, ZETA
 
 # -1/(2 zeta) = (zeta - 1)/2 and -zeta/2
@@ -208,72 +211,21 @@ def verify_markov(n: int, extra_random: int = 25, seed: int = 7) -> list[dict]:
 
 # --- exact span closure -----------------------------------------------------
 
-def _reduce_vector(vec: dict[int, Scalar], basis: dict[int, dict[int, Scalar]]):
-    """Reduce vec against an echelon basis keyed by pivot index, in place-ish."""
-    while vec:
-        pivot = min(vec)
-        row = basis.get(pivot)
-        if row is None:
-            return vec
-        c = vec[pivot]
-        for idx, val in row.items():
-            cur = vec.get(idx)
-            nxt = (cur - c * val) if cur is not None else -(c * val)
-            if nxt.is_zero():
-                vec.pop(idx, None)
-            else:
-                vec[idx] = nxt
-    return vec
-
-
-def _normalize(vec: dict[int, Scalar]) -> dict[int, Scalar]:
-    inv = vec[min(vec)].inverse()
-    return {idx: c * inv for idx, c in vec.items()}
-
-
 def subalgebra_dimension(n: int) -> int:
     """Dimension of the unital subalgebra generated by the braid generators.
 
-    Iterated span closure: multiply every known basis vector by every
-    generator and row-reduce over Q(zeta) until the span stops growing.
+    The closure runs over the integers and is exact.  s_i = c T_i with the
+    unit c = -1/(2 zeta) and T_i = 1 + u_i + v_i + u_i v_i, so a product of
+    generators is a unit times a product of T's, and the Q(zeta)-span of the
+    s-words equals the Q(zeta)-span of the T-words.  Those have integer
+    coordinates on the word basis, and a set of rational vectors has the same
+    rank over Q(zeta) as over Q (Gaussian elimination never leaves the field
+    of the entries).  So the dimension is the Q-rank of the T-words, which
+    `intspan.t_word_rank` computes by fraction-free elimination over Z.
     """
     if not 2 <= n <= 6:
         raise ValueError("supported range is 2 <= n <= 6")
-    gens = [braid_generator(n, i) for i in range(1, n)]
-    basis: dict[int, dict[int, Scalar]] = {}
+    # imported here so that `import quatbraid` does not load numpy
+    from quatbraid import intspan
 
-    def insert(element: AlgebraElement) -> bool:
-        vec = {w.index: c for w, c in element.terms.items()}
-        vec = _reduce_vector(vec, basis)
-        if not vec:
-            return False
-        row = _normalize(vec)
-        pivot = min(row)
-        # re-reduce existing rows so the basis stays fully echelonized
-        for p, other in list(basis.items()):
-            c = other.get(pivot)
-            if c is None:
-                continue
-            for idx, val in row.items():
-                cur = other.get(idx)
-                nxt = (cur - c * val) if cur is not None else -(c * val)
-                if nxt.is_zero():
-                    other.pop(idx, None)
-                else:
-                    other[idx] = nxt
-        basis[pivot] = row
-        return True
-
-    insert(AlgebraElement.one(n))
-    frontier = [AlgebraElement.one(n)]
-    while frontier:
-        new_frontier = []
-        for elem in frontier:
-            for g in gens:
-                prod = elem * g
-                if insert(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-        if len(basis) > word_count(n):
-            raise RuntimeError("span closure exceeded the ambient dimension")
-    return len(basis)
+    return intspan.t_word_rank(n)

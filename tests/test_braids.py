@@ -20,6 +20,8 @@ def test_letter_validation():
         BraidWord(2, (2,))
     with pytest.raises(ValueError):
         BraidWord(3, (0,))
+    with pytest.raises(ValueError):
+        BraidWord(0, ())
 
 
 def test_exponent_sum():

@@ -41,9 +41,42 @@ def test_invariant(runner):
     assert report["value"] == ["-2", "0"]
 
 
+def _assert_one_line_error(result):
+    # an uncaught exception would also give exit code 1 under CliRunner
+    assert result.exit_code == 1
+    assert type(result.exception) is SystemExit
+    assert result.output.startswith("error: ")
+    assert result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
 def test_invariant_bad_letter(runner):
-    result = runner.invoke(cli, ["invariant", "--strands", "2", "--word", "3"])
-    assert result.exit_code != 0
+    _assert_one_line_error(runner.invoke(cli, ["invariant", "--strands", "2", "--word", "3"]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dim", "--n", "7"],
+        ["dim", "--n", "1"],
+        ["center", "--n", "1"],
+        ["group", "--n", "6"],
+        ["invariant", "--strands", "3", "--word", "1 x 2"],
+        ["invariant", "--strands", "3", "--word", "1 -3"],
+        ["invariant", "--strands", "0", "--word", ""],
+    ],
+)
+def test_bad_input_is_one_line_error(runner, args):
+    _assert_one_line_error(runner.invoke(cli, args))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_group_cap_variable(value):
+    runner = CliRunner(env={"QUATBRAID_MAX_GROUP_ELEMENTS": value})
+    for args in (["group", "--n", "3"], ["suite", "--group-n-max", "2"]):
+        result = runner.invoke(cli, args)
+        _assert_one_line_error(result)
+        assert "QUATBRAID_MAX_GROUP_ELEMENTS" in result.output
 
 
 def test_group(runner):

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatbraid.algebra import AlgebraElement, Word
+from quatbraid.algebra import AlgebraElement, Word, word_count
+from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     HeckeGenerators,
+    _S_COEFF,
     braid_generator,
     braid_generator_inverse,
     idempotent,
@@ -16,6 +20,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
+from quatbraid.intspan import _cancel, _times_t
 from quatbraid.scalar import ONE, Scalar, ZETA
 
 
@@ -93,9 +98,35 @@ def test_build_bundle():
         assert s * s_inv == AlgebraElement.one(4)
 
 
-@pytest.mark.parametrize("n,expected", [(2, 2), (3, 6), (4, 22)])
+@pytest.mark.parametrize("n,expected", [(2, 2), (3, 6), (4, 22), (5, 86), (6, 342)])
 def test_subalgebra_dimension(n, expected):
-    assert subalgebra_dimension(n) == expected
+    assert subalgebra_dimension(n) == expected == hecke_dimension(3, 6, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_t_action_matches_sign_algebra(data):
+    # s_i = c T_i, so vec T_i must equal (vec * s_i) / c on every word.
+    n = data.draw(st.integers(2, 5), label="n")
+    i = data.draw(st.integers(1, n - 1), label="i")
+    size = word_count(n)
+    vec = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), dtype=np.int64)
+
+    def element(v):
+        return AlgebraElement(n, {Word.from_index(n, x): Scalar.of(int(c)) for x, c in enumerate(v)})
+
+    assert element(_times_t(vec, n, i)) == (element(vec) * braid_generator(n, i)).scale(_S_COEFF.inverse())
+
+
+def test_closure_overflow_guard():
+    big = np.array([1 << 31, 1, 0, 0], dtype=np.int64)
+    row = np.array([1, 0, 1, 0], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _cancel(big, row, 0)
+    with pytest.raises(OverflowError):
+        _cancel(row, big, 0)
+    with pytest.raises(OverflowError):
+        _times_t(big, 2, 1)
 
 
 def test_subalgebra_dimension_range_check():
