@@ -164,18 +164,6 @@ class AlgebraElement:
                 acc[w] = c if prev is None else prev + c
         return AlgebraElement(self.n, acc)
 
-    def __pow__(self, k: int) -> AlgebraElement:
-        if k < 0:
-            raise ValueError("negative powers not supported; invert explicitly")
-        out = AlgebraElement.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def trace(self) -> Scalar:
         """Coefficient of the identity word (the faithful trace of the algebra)."""
         return self.terms.get(Word.identity(self.n), ZERO)

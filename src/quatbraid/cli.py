@@ -7,6 +7,7 @@ passes (exit 2 when a group enumeration hits its cap and is inconclusive).
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -44,6 +45,17 @@ def _fail(message: str) -> NoReturn:
     sys.exit(EXIT_FAIL)
 
 
+def _read_json(path: str):
+    """The parsed JSON file named on the command line; one-line error if unreadable."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        _fail(f"{path} is not valid JSON: {exc}")
+
+
 def _emit(report: dict, json_out: str | None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if json_out:
@@ -63,6 +75,8 @@ def cli():
 @click.option("--json-out", default=None, help="write the JSON report here instead of stdout")
 def verify(n_max, json_out):
     """Check braid/quadratic/idempotent relations and the conjugation table."""
+    if n_max < 3:
+        _fail(f"--n must be at least 3 (the relations need three strands), got {n_max}")
     checks = []
     for n in range(3, n_max + 1):
         checks += [dict(e, n=n) for e in hecke.verify_relations(n)]
@@ -174,7 +188,10 @@ def group(n, max_elements):
 @click.option("--dot", "dot_out", default=None, help="write the top-cut graph as DOT")
 def bratteli(k, l, levels, reduced, dot_out):
     """Level structure of the admissible-diagram Bratteli diagram."""
-    lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)
+    try:
+        lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)
+    except ValueError as exc:
+        _fail(str(exc))
     report = {
         "schema": REPORT_SCHEMA,
         "command": "bratteli",
@@ -202,26 +219,20 @@ def bratteli(k, l, levels, reduced, dot_out):
 @click.option("--seifert", "seifert_path", required=True, help="JSON file with a matrix or a link table")
 def cover_dim(seifert_path):
     """Mod-2 homology dimension of the 3-fold branched cover from a Seifert matrix."""
-    if not os.path.exists(seifert_path):
-        _fail(f"no such file: {seifert_path}")
-    data = json.loads(open(seifert_path).read())
-    if isinstance(data, dict) and "links" in data:
-        entries = linktable.load_file(seifert_path)
-        out = [
-            {"name": e.name, "dim": cover.triple_cover_dim(e.seifert_rows)}
-            for e in entries
-            if e.seifert is not None
-        ]
-        _emit({"schema": REPORT_SCHEMA, "command": "cover-dim", "entries": out}, None)
-    else:
-        _emit(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": "cover-dim",
-                "dim": cover.triple_cover_dim(data),
-            },
-            None,
-        )
+    data = _read_json(seifert_path)
+    report = {"schema": REPORT_SCHEMA, "command": "cover-dim"}
+    try:
+        if isinstance(data, dict) and "links" in data:
+            report["entries"] = [
+                {"name": e.name, "dim": cover.triple_cover_dim(e.seifert_rows)}
+                for e in linktable.load_file(seifert_path)
+                if e.seifert is not None
+            ]
+        else:
+            report["dim"] = cover.triple_cover_dim(data)
+    except ValueError as exc:
+        _fail(f"{seifert_path}: {exc}")
+    _emit(report, None)
 
 
 def run_suite(
@@ -344,41 +355,57 @@ def run_suite(
     }
 
 
+_SUITE_PARAMS = inspect.signature(run_suite).parameters
+
+
+def _suite_option(flag: str, key: str):
+    """An integer suite flag; it overrides the config only when given."""
+    default = _SUITE_PARAMS[key].default
+    return click.option(flag, key, type=int, default=None, help=f"overrides --config (default {default})")
+
+
+def _read_config(path: str) -> dict:
+    """Suite parameters from a JSON object whose keys are run_suite's parameter names."""
+    config = _read_json(path)
+    if not isinstance(config, dict):
+        _fail(f"{path}: config must be a JSON object")
+    for key, value in config.items():
+        if key not in _SUITE_PARAMS:
+            _fail(f"{path}: unknown config key {key!r}")
+        kind = str if key == "link_table_path" else int
+        if type(value) is not kind and not (value is None and _SUITE_PARAMS[key].default is None):
+            _fail(f"{path}: config key {key!r} must be {'a string' if kind is str else 'an integer'}")
+    return config
+
+
 @cli.command()
-@click.option("--seed", default=2026, show_default=True)
-@click.option("--group-n-max", default=5, show_default=True)
-@click.option("--dim-n-max", default=5, show_default=True)
-@click.option("--markov-braids", default=500, show_default=True)
-@click.option("--max", "max_elements", default=None, type=int, help="group BFS element cap")
-@click.option("--link-table", default=None, help="path to a link-table JSON (default: bundled)")
+@_suite_option("--seed", "seed")
+@_suite_option("--group-n-max", "group_n_max")
+@_suite_option("--dim-n-max", "dim_n_max")
+@_suite_option("--markov-braids", "markov_braids")
+@click.option("--max", "max_group_elements", default=None, type=int, help="group BFS element cap")
+@click.option("--link-table", "link_table_path", default=None,
+              help="path to a link-table JSON (default: bundled)")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override")
 @click.option("--json-out", default=None)
-def suite(seed, group_n_max, dim_n_max, markov_braids, max_elements, link_table, config_path, json_out):
+def suite(config_path, json_out, **flags):
     """Run the complete verification battery."""
-    params = {}
-    if config_path:
-        if not os.path.exists(config_path):
-            _fail(f"no such config: {config_path}")
-        params.update(json.loads(open(config_path).read()))
-    params.setdefault("seed", seed)
-    params.setdefault("group_n_max", group_n_max)
-    params.setdefault("dim_n_max", dim_n_max)
-    params.setdefault("markov_braids", markov_braids)
-    if max_elements is not None:
-        params["max_group_elements"] = max_elements
+    params = _read_config(config_path) if config_path else {}
+    params.update({key: value for key, value in flags.items() if value is not None})
     if params.get("max_group_elements") is None:
         try:
             params["max_group_elements"] = _max_group_elements()
         except ValueError as exc:
             _fail(str(exc))
-    if link_table is not None:
-        params["link_table_path"] = link_table
-    if "link_table_path" in params and not os.path.exists(params["link_table_path"]):
-        _fail(f"link table not found: {params['link_table_path']}")
-    try:
-        report = run_suite(**params)
-    except TypeError as exc:
-        _fail(f"bad config: {exc}")
+    path = params.get("link_table_path")
+    if path is not None:
+        try:
+            linktable.load_file(path)
+        except OSError as exc:
+            _fail(str(exc))
+        except ValueError as exc:
+            _fail(f"{path}: {exc}")
+    report = run_suite(**params)
     for entry in report["checks"]:
         status = "PASS" if entry["pass"] else ("INCONCLUSIVE" if entry.get("inconclusive") else "FAIL")
         click.echo(f"[{status}] {entry['name']}: expected {entry['expected']}, got {entry['actual']}")

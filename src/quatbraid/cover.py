@@ -9,23 +9,30 @@ branched over the link is presented by the block matrix
 and the Z2-dimension we need is the nullity of M mod 2.  This is the exponent
 appearing in the magnitude of the closed-braid invariant, computed here by an
 entirely independent route (integer matrices and F2 elimination, no braid or
-algebra arithmetic).
+algebra arithmetic).  The homology itself stays integer plus F2; the two
+Seifert determinants (double cover order, symplectic check) use the package's
+one exact determinant, `scalar.exact_determinant`.
 """
 
 from __future__ import annotations
 
 from quatbraid import gf2
+from quatbraid.scalar import Scalar, exact_determinant
 
 
-def _check_square(v: list[list[int]]):
-    for row in v:
-        if len(row) != len(v):
-            raise ValueError("Seifert matrix must be square")
+def check_matrix(v: list[list[int]]):
+    """Raise ValueError unless v is a square list of integer rows."""
+    if not isinstance(v, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in v
+    ):
+        raise ValueError("Seifert matrix must be a list of integer rows")
+    if any(len(row) != len(v) for row in v):
+        raise ValueError("Seifert matrix must be square")
 
 
 def triple_cover_presentation(v: list[list[int]]) -> list[list[int]]:
     """The 2m x 2m block presentation matrix [[V+Vt, V], [Vt, V+Vt]]."""
-    _check_square(v)
+    check_matrix(v)
     m = len(v)
     big = [[0] * (2 * m) for _ in range(2 * m)]
     for i in range(m):
@@ -40,7 +47,7 @@ def triple_cover_presentation(v: list[list[int]]) -> list[list[int]]:
 
 def triple_cover_dim(v: list[list[int]]) -> int:
     """dim of the mod-2 first homology of the 3-fold branched cover."""
-    _check_square(v)
+    check_matrix(v)
     if not v:
         return 0
     big = triple_cover_presentation(v)
@@ -49,54 +56,21 @@ def triple_cover_dim(v: list[list[int]]) -> int:
     return gf2.nullity(rows, size)
 
 
+def _sym_determinant(v: list[list[int]], sign: int) -> int:
+    """det(V + sign * V^T), through the exact Q(zeta) determinant."""
+    check_matrix(v)
+    m = len(v)
+    mat = [[Scalar.of(v[i][j] + sign * v[j][i]) for j in range(m)] for i in range(m)]
+    det = exact_determinant(mat)
+    assert det.is_rational() and det.a.denominator == 1
+    return int(det.a)
+
+
 def double_cover_determinant(v: list[list[int]]) -> int:
     """det(V + V^T): the order of the double branched cover homology, up to sign."""
-    _check_square(v)
-    m = len(v)
-    if m == 0:
-        return 1
-    from fractions import Fraction
-
-    work = [[Fraction(v[i][j] + v[j][i]) for j in range(m)] for i in range(m)]
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if work[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        p = work[col][col]
-        det *= p
-        for r in range(col + 1, m):
-            f = work[r][col] / p
-            for c in range(col, m):
-                work[r][c] -= f * work[col][c]
-    assert det.denominator == 1
-    return int(det)
+    return _sym_determinant(v, 1)
 
 
 def symplectic_check(v: list[list[int]]) -> bool:
     """det(V - V^T) = +/-1; holds for any knot Seifert matrix (advisory for links)."""
-    _check_square(v)
-    m = len(v)
-    if m == 0:
-        return True
-    from fractions import Fraction
-
-    work = [[Fraction(v[i][j] - v[j][i]) for j in range(m)] for i in range(m)]
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if work[r][col]), None)
-        if pivot is None:
-            return False
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        p = work[col][col]
-        det *= p
-        for r in range(col + 1, m):
-            f = work[r][col] / p
-            for c in range(col, m):
-                work[r][c] -= f * work[col][c]
-    return abs(det) == 1
+    return abs(_sym_determinant(v, -1)) == 1

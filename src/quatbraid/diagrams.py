@@ -20,12 +20,6 @@ from quatbraid.scalar import ONE, Scalar, qpow
 Diagram = tuple[int, ...]
 
 
-def is_valid_diagram(rows: Diagram) -> bool:
-    return all(r > 0 for r in rows) and all(
-        rows[i] >= rows[i + 1] for i in range(len(rows) - 1)
-    )
-
-
 def is_admissible(rows: Diagram, k: int, l: int) -> bool:
     if len(rows) > k:
         return False
@@ -45,30 +39,12 @@ def add_box(rows: Diagram) -> list[Diagram]:
 
 def admissible_diagrams(k: int, l: int, n: int) -> list[Diagram]:
     """All (k,l)-admissible diagrams of size n, reachable through admissible ones."""
-    if k >= l or n < 1:
-        raise ValueError("need k < l and n >= 1")
-    level = [(1,)]
-    for _ in range(n - 1):
-        nxt = set()
-        for d in level:
-            for d2 in add_box(d):
-                if is_admissible(d2, k, l):
-                    nxt.add(d2)
-        level = sorted(nxt)
-    return sorted(level)
+    return sorted(path_counts(k, l, n))
 
 
 def path_counts(k: int, l: int, n: int) -> dict[Diagram, int]:
     """Number of admissible single-box paths from (1) to each level-n diagram."""
-    counts: dict[Diagram, int] = {(1,): 1}
-    for _ in range(n - 1):
-        nxt: dict[Diagram, int] = {}
-        for d, c in counts.items():
-            for d2 in add_box(d):
-                if is_admissible(d2, k, l):
-                    nxt[d2] = nxt.get(d2, 0) + c
-        counts = nxt
-    return counts
+    return bratteli_levels(k, l, n)[-1].path_counts
 
 
 def hecke_dimension(k: int, l: int, n: int) -> int:
@@ -111,10 +87,11 @@ def bratteli_levels(k: int, l: int, levels: int, reduced: bool = False) -> list[
 
     Reduction only changes the node labels; nodes, edges and path counts are
     those of the admissible diagrams themselves (the reduction map is
-    injective on each level).
+    injective on each level).  This is the only box-adding loop: the path
+    counts and admissible diagrams of a single level are read off it.
     """
-    if levels < 1:
-        raise ValueError("need at least one level")
+    if k >= l or levels < 1:
+        raise ValueError("need k < l and at least one level")
     out = []
     counts: dict[Diagram, int] = {(1,): 1}
     for n in range(1, levels + 1):

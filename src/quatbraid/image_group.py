@@ -15,7 +15,7 @@ import numpy as np
 
 from quatbraid.algebra import AlgebraElement, Word, center, word_count
 from quatbraid.hecke import braid_generator, braid_generator_inverse
-from quatbraid.scalar import ONE, Scalar
+from quatbraid.scalar import ONE, ZERO, Scalar, exact_determinant
 
 
 class NotASignedWordError(RuntimeError):
@@ -172,8 +172,6 @@ def order_formula_estimate(n: int) -> int:
 
 def left_regular_matrix(i: int, n: int) -> list[list[Scalar]]:
     """Matrix of left multiplication by s_i on the word basis."""
-    from quatbraid.scalar import ZERO
-
     size = word_count(n)
     s = braid_generator(n, i)
     mat = [[ZERO] * size for _ in range(size)]
@@ -182,32 +180,6 @@ def left_regular_matrix(i: int, n: int) -> list[list[Scalar]]:
         for w, c in prod.terms.items():
             mat[w.index][col] = c
     return mat
-
-
-def exact_determinant(mat: list[list[Scalar]]) -> Scalar:
-    """Gaussian elimination over Q(zeta) with exact division."""
-    from quatbraid.scalar import ZERO
-
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = ONE
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        p = m[col][col]
-        det = det * p
-        pinv = p.inverse()
-        for r in range(col + 1, size):
-            factor = m[r][col] * pinv
-            if factor.is_zero():
-                continue
-            for c in range(col, size):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det
 
 
 def left_regular_determinant(i: int, n: int) -> Scalar:

@@ -8,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from quatbraid.braids import BraidWord
+from quatbraid.cover import check_matrix
 
 
 @dataclass(frozen=True)
@@ -24,15 +25,28 @@ class LinkEntry:
 
 
 def _parse(data: dict) -> list[LinkEntry]:
-    if data.get("schema") != "quatbraid-link-table-v1":
+    if not (isinstance(data, dict) and data.get("schema") == "quatbraid-link-table-v1"
+            and isinstance(data.get("links"), list)):
         raise ValueError("unrecognized link-table schema")
     entries = []
-    for raw in data["links"]:
+    for index, raw in enumerate(data["links"]):
+        if not isinstance(raw, dict):
+            raise ValueError(f"link entry {index} is not an object")
+        where = f"link entry {index}" + (f" ({raw['name']!r})" if "name" in raw else "")
+        missing = [key for key in ("name", "strands", "word") if key not in raw]
+        if missing:
+            raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")
         seifert = raw.get("seifert")
+        try:
+            braid = BraidWord(raw["strands"], tuple(raw["word"]))
+            if seifert is not None:
+                check_matrix(seifert)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
         entries.append(
             LinkEntry(
                 name=raw["name"],
-                braid=BraidWord(raw["strands"], tuple(raw["word"])),
+                braid=braid,
                 seifert=None if seifert is None else tuple(tuple(r) for r in seifert),
             )
         )

@@ -194,13 +194,6 @@ def test_trace_is_tracial():
             assert (x * y).trace() == (y * x).trace()
 
 
-def test_power_operator():
-    rng = random.Random(2)
-    x = _random_element(3, rng)
-    assert x**3 == x * x * x
-    assert x**0 == AlgebraElement.one(3)
-
-
 # --- center ------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 4), (4, 1), (5, 1), (6, 4), (7, 1)])

@@ -64,10 +64,27 @@ def test_invariant_bad_letter(runner):
         ["invariant", "--strands", "3", "--word", "1 x 2"],
         ["invariant", "--strands", "3", "--word", "1 -3"],
         ["invariant", "--strands", "0", "--word", ""],
+        ["bratteli", "--levels", "0"],
+        ["bratteli", "--k", "6", "--l", "6"],
+        ["verify", "--n", "2"],
+        ["cover-dim", "--seifert", {"json": "[[1, 2"}],
+        ["cover-dim", "--seifert", {"json": "[[1, 2], [3]]"}],
+        ["cover-dim", "--seifert", {"json": "[[1.5]]"}],
+        ["cover-dim", "--seifert", {"json": "[[true]]"}],
+        ["cover-dim", "--seifert", {"json": '{"rows": [[1]]}'}],
+        ["cover-dim", "--seifert", {"json": '"abc"'}],
     ],
 )
-def test_bad_input_is_one_line_error(runner, args):
-    _assert_one_line_error(runner.invoke(cli, args))
+def test_bad_input_is_one_line_error(runner, tmp_path, args):
+    # an argument {"json": text} stands for the path of a file holding text
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            path = tmp_path / "input.json"
+            path.write_text(arg["json"])
+            arg = str(path)
+        argv.append(arg)
+    _assert_one_line_error(runner.invoke(cli, argv))
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
@@ -120,6 +137,60 @@ def test_suite_missing_link_table(runner):
     result = runner.invoke(cli, ["suite", "--link-table", "/nope/links.json"])
     assert result.exit_code == 1
     assert "/nope/links.json" in result.output
+
+
+LINK_TABLE_MISSING_WORD = json.dumps(
+    {
+        "schema": "quatbraid-link-table-v1",
+        "links": [
+            {"name": "trefoil", "strands": 2, "word": [1, 1, 1]},
+            {"name": "broken", "strands": 2},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize("command", [["cover-dim", "--seifert"], ["suite", "--link-table"]])
+def test_link_table_missing_key_is_one_line_error(runner, tmp_path, command):
+    path = tmp_path / "links.json"
+    path.write_text(LINK_TABLE_MISSING_WORD)
+    result = runner.invoke(cli, command + [str(path)])
+    _assert_one_line_error(result)
+    assert "link entry 1 ('broken') lacks 'word'" in result.output
+
+
+def test_suite_flags_override_config(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"seed": 1, "markov_braids": 2, "relation_n_max": 3, "dim_n_max": 2, "group_n_max": 2}
+    ))
+    out = tmp_path / "report.json"
+    result = runner.invoke(cli, [
+        "suite", "--config", str(config), "--seed", "5", "--markov-braids", "3",
+        "--json-out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    params = json.loads(out.read_text())["parameters"]
+    assert params["seed"] == 5 and params["markovBraids"] == 3
+    assert params["relationNMax"] == 3 and params["dimNMax"] == 2
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ('{"seed": 1, "markov_braid": 2}', "unknown config key 'markov_braid'"),
+        ('{"group_n_max": "2"}', "config key 'group_n_max' must be an integer"),
+        ('[1, 2]', "config must be a JSON object"),
+        ('{"seed": 1', "is not valid JSON"),
+    ],
+    ids=["unknown-key", "wrong-type", "not-an-object", "malformed-json"],
+)
+def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    result = runner.invoke(cli, ["suite", "--config", str(path)])
+    _assert_one_line_error(result)
+    assert message in result.output
 
 
 def _strip_timing(report):

@@ -18,6 +18,8 @@ TREFOIL = [[-1, 1], [0, -1]]
 
 def test_unknot_empty_matrix():
     assert triple_cover_dim([]) == 0
+    assert double_cover_determinant([]) == 1
+    assert symplectic_check([])
 
 
 def test_trefoil():

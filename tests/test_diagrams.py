@@ -54,6 +54,22 @@ def test_dimension_bounded_by_ambient(n):
     assert hecke_dimension(3, 6, n) <= 4 ** (n - 1)
 
 
+@pytest.mark.parametrize("route", [path_counts, admissible_diagrams, bratteli_levels])
+@pytest.mark.parametrize("k,l,n", [(6, 6, 3), (7, 6, 3), (3, 6, 0), (3, 6, -1)])
+def test_bad_parameters_rejected(route, k, l, n):
+    with pytest.raises(ValueError):
+        route(k, l, n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_levels_agree_with_single_level_routes(n):
+    levels = bratteli_levels(3, 6, n)
+    assert [level.n for level in levels] == list(range(1, n + 1))
+    for level in levels:
+        assert level.path_counts == path_counts(3, 6, level.n)
+        assert level.nodes == admissible_diagrams(3, 6, level.n)
+
+
 def test_eta_value():
     assert eta(3, 6) == Scalar.of(Fraction(1, 2))
 
