@@ -245,7 +245,19 @@ def run_suite(
     max_group_elements: int | None = None,
     link_table_path: str | None = None,
 ) -> dict:
-    """Full verification battery; returns the report dict."""
+    """Full verification battery; returns the report dict.
+
+    Raises ValueError before any check runs when dim_n_max, group_n_max,
+    markov_braids or max_group_elements is outside the range the checks support.
+    """
+    if dim_n_max > 6:
+        raise ValueError(f"dim_n_max must be at most 6, got {dim_n_max}")
+    if group_n_max > 5:
+        raise ValueError(f"group_n_max must be at most 5, got {group_n_max}")
+    if markov_braids < 0:
+        raise ValueError(f"markov_braids must not be negative, got {markov_braids}")
+    if max_group_elements is not None and max_group_elements < 1:
+        raise ValueError(f"max_group_elements must be a positive integer, got {max_group_elements}")
     cap = max_group_elements if max_group_elements is not None else _max_group_elements()
     links = linktable.load_file(link_table_path) if link_table_path else linktable.load_bundled()
     t0 = time.time()
@@ -405,7 +417,10 @@ def suite(config_path, json_out, **flags):
             _fail(str(exc))
         except ValueError as exc:
             _fail(f"{path}: {exc}")
-    report = run_suite(**params)
+    try:
+        report = run_suite(**params)
+    except ValueError as exc:
+        _fail(str(exc))
     for entry in report["checks"]:
         status = "PASS" if entry["pass"] else ("INCONCLUSIVE" if entry.get("inconclusive") else "FAIL")
         click.echo(f"[{status}] {entry['name']}: expected {entry['expected']}, got {entry['actual']}")

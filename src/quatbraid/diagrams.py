@@ -90,8 +90,8 @@ def bratteli_levels(k: int, l: int, levels: int, reduced: bool = False) -> list[
     injective on each level).  This is the only box-adding loop: the path
     counts and admissible diagrams of a single level are read off it.
     """
-    if k >= l or levels < 1:
-        raise ValueError("need k < l and at least one level")
+    if not 1 <= k < l or levels < 1:
+        raise ValueError("need 1 <= k < l and at least one level")
     out = []
     counts: dict[Diagram, int] = {(1,): 1}
     for n in range(1, levels + 1):

@@ -61,11 +61,13 @@ def test_invariant_bad_letter(runner):
         ["dim", "--n", "1"],
         ["center", "--n", "1"],
         ["group", "--n", "6"],
+        ["group", "--n", "3", "--max", "0"],
         ["invariant", "--strands", "3", "--word", "1 x 2"],
         ["invariant", "--strands", "3", "--word", "1 -3"],
         ["invariant", "--strands", "0", "--word", ""],
         ["bratteli", "--levels", "0"],
         ["bratteli", "--k", "6", "--l", "6"],
+        ["bratteli", "--k", "0", "--levels", "3"],
         ["verify", "--n", "2"],
         ["cover-dim", "--seifert", {"json": "[[1, 2"}],
         ["cover-dim", "--seifert", {"json": "[[1, 2], [3]]"}],
@@ -73,6 +75,13 @@ def test_invariant_bad_letter(runner):
         ["cover-dim", "--seifert", {"json": "[[true]]"}],
         ["cover-dim", "--seifert", {"json": '{"rows": [[1]]}'}],
         ["cover-dim", "--seifert", {"json": '"abc"'}],
+        ["suite", "--group-n-max", "6", "--dim-n-max", "2", "--markov-braids", "0"],
+        ["suite", "--dim-n-max", "7", "--group-n-max", "2", "--markov-braids", "0"],
+        ["suite", "--markov-braids", "-3", "--group-n-max", "2", "--dim-n-max", "2"],
+        ["suite", "--max", "-5", "--group-n-max", "2", "--dim-n-max", "2", "--markov-braids", "0"],
+        ["suite", "--config", {"json": '{"group_n_max": 6, "dim_n_max": 2, "markov_braids": 0}'}],
+        ["suite", "--config", {"json": '{"dim_n_max": 7, "group_n_max": 2, "markov_braids": 0}'}],
+        ["suite", "--config", {"json": '{"markov_braids": -3, "group_n_max": 2, "dim_n_max": 2}'}],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):
@@ -191,6 +200,20 @@ def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
     result = runner.invoke(cli, ["suite", "--config", str(path)])
     _assert_one_line_error(result)
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "bad", [{"group_n_max": 6}, {"dim_n_max": 7}, {"markov_braids": -3}, {"max_group_elements": 0}],
+    ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap"],
+)
+def test_run_suite_checks_ranges_before_any_work(monkeypatch, bad):
+    # the relation checks run first; reaching them means the range check came too late
+    def no_work(n):
+        raise AssertionError("a check ran before the range check")
+
+    monkeypatch.setattr("quatbraid.hecke.verify_relations", no_work)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        run_suite(**bad)
 
 
 def _strip_timing(report):

@@ -55,7 +55,7 @@ def test_dimension_bounded_by_ambient(n):
 
 
 @pytest.mark.parametrize("route", [path_counts, admissible_diagrams, bratteli_levels])
-@pytest.mark.parametrize("k,l,n", [(6, 6, 3), (7, 6, 3), (3, 6, 0), (3, 6, -1)])
+@pytest.mark.parametrize("k,l,n", [(6, 6, 3), (7, 6, 3), (0, 6, 3), (-1, 6, 3), (3, 6, 0), (3, 6, -1)])
 def test_bad_parameters_rejected(route, k, l, n):
     with pytest.raises(ValueError):
         route(k, l, n)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from quatbraid.algebra import Word, center
+from quatbraid.algebra import AlgebraElement, Word, center, word_count
+from quatbraid.hecke import braid_generator, braid_generator_inverse
 from quatbraid.image_group import (
     EnumerationCapExceeded,
     SignedPermutation,
@@ -83,14 +84,50 @@ def test_enumerate_group_bookkeeping():
     assert res["conclusive"]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_action_matches_algebra_conjugation(n):
+    # oracle: the Q(zeta) product s_i^-1 w s_i, term by term, for every word
+    for i in range(1, n):
+        act = conjugation_action(i, n)
+        s, s_inv = braid_generator(n, i), braid_generator_inverse(n, i)
+        for idx in range(word_count(n)):
+            w = Word.from_index(n, idx)
+            target = Word.from_index(n, int(act.perm[idx]))
+            want = AlgebraElement.from_word(target, ONE if act.signs[idx] > 0 else -ONE)
+            assert s_inv * AlgebraElement.from_word(w) * s == want, (n, i, str(w))
+
+
+def _closure_by_compose(n):
+    """Oracle: the image group as whole signed permutations, one compose at a time."""
+    actions = [conjugation_action(i, n) for i in range(1, n)]
+    gens = actions + [a.inverse() for a in actions]
+    els = {SignedPermutation.identity(n)}
+    frontier = list(els)
+    while frontier:
+        new = {g.compose(b) for b in frontier for g in gens} - els
+        els |= new
+        frontier = list(new)
+    central = [el for el in els if all(el.compose(a) == a.compose(el) for a in actions)]
+    return len(els), len(central)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_matches_full_row_closure(n):
+    res = enumerate_group(n)
+    assert (res["imageOrder"], res["centerOrder"]) == _closure_by_compose(n)
+
+
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded) as info:
         enumerate_group(4, max_elements=100)
+    assert (info.value.cap, info.value.partial) == (100, 101)
 
 
 def test_enumerate_range_check():
     with pytest.raises(ValueError):
         enumerate_group(6)
+    with pytest.raises(ValueError):
+        enumerate_group(3, max_elements=0)
 
 
 def test_formula_estimate_values():
