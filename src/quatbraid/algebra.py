@@ -168,9 +168,6 @@ class AlgebraElement:
         """Coefficient of the identity word (the faithful trace of the algebra)."""
         return self.terms.get(Word.identity(self.n), ZERO)
 
-    def coeff(self, w: Word) -> Scalar:
-        return self.terms.get(w, ZERO)
-
     def is_zero(self) -> bool:
         return not self.terms
 

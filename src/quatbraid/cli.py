@@ -46,43 +46,60 @@ def _fail(message: str) -> NoReturn:
 
 
 def _read_json(path: str):
-    """The parsed JSON file named on the command line; one-line error if unreadable."""
-    try:
-        with open(path) as fh:
+    """The parsed JSON file named on the command line."""
+    with open(path) as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        _fail(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:
-        _fail(f"{path} is not valid JSON: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _emit(report: dict, json_out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if json_out:
-        with open(json_out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+def _emit(command: str, fields: dict, json_out=None) -> None:
+    """Write the report for command to the open file json_out, or to stdout."""
+    report = {"schema": REPORT_SCHEMA, "command": command, **fields}
+    click.echo(json.dumps(report, indent=2, sort_keys=True), file=json_out)
 
 
-@click.group()
+class _Cli(click.Group):
+    """The one error path: a usage error, a ValueError or an OSError from any
+    command becomes one `error:` line on stderr and exit code 1."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **{**kwargs, "standalone_mode": False})
+        except click.ClickException as exc:
+            _fail(exc.format_message())
+        except click.Abort:
+            _fail("aborted")
+        except OSError as exc:
+            _fail(f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else str(exc))
+        except ValueError as exc:
+            _fail(str(exc))
+
+
+# A --json-out file is opened while the flags are parsed, so an unwritable
+# path fails before any check runs.
+_OUTPUT = click.File("w", lazy=False)
+
+
+@click.group(cls=_Cli, no_args_is_help=False)
 def cli():
     """Exact verification tools for the quaternion-flavored braid representation."""
 
 
 @cli.command()
 @click.option("--n", "n_max", default=6, show_default=True, help="largest strand count")
-@click.option("--json-out", default=None, help="write the JSON report here instead of stdout")
+@click.option("--json-out", type=_OUTPUT, default=None, help="write the JSON report here instead of stdout")
 def verify(n_max, json_out):
     """Check braid/quadratic/idempotent relations and the conjugation table."""
     if n_max < 3:
-        _fail(f"--n must be at least 3 (the relations need three strands), got {n_max}")
+        raise ValueError(f"--n must be at least 3 (the relations need three strands), got {n_max}")
     checks = []
     for n in range(3, n_max + 1):
         checks += [dict(e, n=n) for e in hecke.verify_relations(n)]
         checks += [dict(e, n=n) for e in hecke.verify_conjugation_table(n)]
     ok = all(e["pass"] for e in checks)
-    _emit({"schema": REPORT_SCHEMA, "command": "verify", "pass": ok, "checks": checks}, json_out)
+    _emit("verify", {"pass": ok, "checks": checks}, json_out)
     sys.exit(EXIT_OK if ok else EXIT_FAIL)
 
 
@@ -90,23 +107,10 @@ def verify(n_max, json_out):
 @click.option("--n", required=True, type=int)
 def dim(n):
     """Subalgebra dimension by span closure vs the path-count model."""
-    try:
-        closure = hecke.subalgebra_dimension(n)
-    except ValueError as exc:
-        _fail(str(exc))
+    closure = hecke.subalgebra_dimension(n)
     paths = diagrams.hecke_dimension(3, 6, n)
     ok = closure == paths
-    _emit(
-        {
-            "schema": REPORT_SCHEMA,
-            "command": "dim",
-            "n": n,
-            "spanClosure": closure,
-            "pathCount": paths,
-            "pass": ok,
-        },
-        None,
-    )
+    _emit("dim", {"n": n, "spanClosure": closure, "pathCount": paths, "pass": ok})
     sys.exit(EXIT_OK if ok else EXIT_FAIL)
 
 
@@ -114,20 +118,8 @@ def dim(n):
 @click.option("--n", required=True, type=int)
 def center(n):
     """Basis of the center of the word algebra."""
-    try:
-        words = algebra.center(n)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit(
-        {
-            "schema": REPORT_SCHEMA,
-            "command": "center",
-            "n": n,
-            "dimension": len(words),
-            "basis": [str(w) for w in words],
-        },
-        None,
-    )
+    words = algebra.center(n)
+    _emit("center", {"n": n, "dimension": len(words), "basis": [str(w) for w in words]})
 
 
 @cli.command("invariant")
@@ -135,22 +127,11 @@ def center(n):
 @click.option("--word", "word_str", required=True, help='letters, e.g. "1 1 1" or "1,-2,1,-2"')
 def invariant_cmd(strands, word_str):
     """Closed-braid invariant of a braid word."""
-    try:
-        letters = tuple(int(x) for x in word_str.replace(",", " ").split())
-        beta = BraidWord(strands, letters)
-    except ValueError as exc:
-        _fail(str(exc))
-    val = invariant(beta)
+    letters = tuple(int(x) for x in word_str.replace(",", " ").split())
+    val = invariant(BraidWord(strands, letters))
     _emit(
-        {
-            "schema": REPORT_SCHEMA,
-            "command": "invariant",
-            "strands": strands,
-            "word": list(letters),
-            "value": val.to_json(),
-            "normSq": str(val.norm_sq()),
-        },
-        None,
+        "invariant",
+        {"strands": strands, "word": list(letters), "value": val.to_json(), "normSq": str(val.norm_sq())},
     )
 
 
@@ -159,25 +140,13 @@ def invariant_cmd(strands, word_str):
 @click.option("--max", "max_elements", default=None, type=int, help="element cap for the BFS")
 def group(n, max_elements):
     """Enumerate the signed-permutation image of the braid generators."""
+    cap = max_elements if max_elements is not None else _max_group_elements()
     try:
-        cap = max_elements if max_elements is not None else _max_group_elements()
         result = image_group.enumerate_group(n, cap)
-    except ValueError as exc:
-        _fail(str(exc))
     except image_group.EnumerationCapExceeded as exc:
-        _emit(
-            {
-                "schema": REPORT_SCHEMA,
-                "command": "group",
-                "n": n,
-                "conclusive": False,
-                "cap": exc.cap,
-                "partialElements": exc.partial,
-            },
-            None,
-        )
+        _emit("group", {"n": n, "conclusive": False, "cap": exc.cap, "partialElements": exc.partial})
         sys.exit(EXIT_INCONCLUSIVE)
-    _emit({"schema": REPORT_SCHEMA, "command": "group", **result}, None)
+    _emit("group", result)
 
 
 @cli.command()
@@ -188,13 +157,10 @@ def group(n, max_elements):
 @click.option("--dot", "dot_out", default=None, help="write the top-cut graph as DOT")
 def bratteli(k, l, levels, reduced, dot_out):
     """Level structure of the admissible-diagram Bratteli diagram."""
-    try:
-        lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)
-    except ValueError as exc:
-        _fail(str(exc))
+    if dot_out and levels < 2:
+        raise ValueError(f"--dot needs at least two levels, got --levels {levels}")
+    lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)
     report = {
-        "schema": REPORT_SCHEMA,
-        "command": "bratteli",
         "k": k,
         "l": l,
         "levels": [
@@ -207,12 +173,12 @@ def bratteli(k, l, levels, reduced, dot_out):
             for level in lv
         ],
     }
-    if dot_out and levels >= 2:
+    if dot_out:
         nodes, edges = diagrams.principal_graph_cut(k, l, (levels - 1, levels), reduced=reduced)
         with open(dot_out, "w") as fh:
             fh.write(diagrams.to_dot(nodes, edges) + "\n")
         report["dot"] = dot_out
-    _emit(report, None)
+    _emit("bratteli", report)
 
 
 @cli.command("cover-dim")
@@ -220,19 +186,17 @@ def bratteli(k, l, levels, reduced, dot_out):
 def cover_dim(seifert_path):
     """Mod-2 homology dimension of the 3-fold branched cover from a Seifert matrix."""
     data = _read_json(seifert_path)
-    report = {"schema": REPORT_SCHEMA, "command": "cover-dim"}
-    try:
-        if isinstance(data, dict) and "links" in data:
-            report["entries"] = [
+    if isinstance(data, dict) and "links" in data:
+        report = {
+            "entries": [
                 {"name": e.name, "dim": cover.triple_cover_dim(e.seifert_rows)}
                 for e in linktable.load_file(seifert_path)
                 if e.seifert is not None
             ]
-        else:
-            report["dim"] = cover.triple_cover_dim(data)
-    except ValueError as exc:
-        _fail(f"{seifert_path}: {exc}")
-    _emit(report, None)
+        }
+    else:
+        report = {"dim": cover.triple_cover_dim(data)}
+    _emit("cover-dim", report)
 
 
 def run_suite(
@@ -380,13 +344,15 @@ def _read_config(path: str) -> dict:
     """Suite parameters from a JSON object whose keys are run_suite's parameter names."""
     config = _read_json(path)
     if not isinstance(config, dict):
-        _fail(f"{path}: config must be a JSON object")
+        raise ValueError(f"{path}: config must be a JSON object")
     for key, value in config.items():
         if key not in _SUITE_PARAMS:
-            _fail(f"{path}: unknown config key {key!r}")
+            raise ValueError(f"{path}: unknown config key {key!r}")
         kind = str if key == "link_table_path" else int
         if type(value) is not kind and not (value is None and _SUITE_PARAMS[key].default is None):
-            _fail(f"{path}: config key {key!r} must be {'a string' if kind is str else 'an integer'}")
+            raise ValueError(
+                f"{path}: config key {key!r} must be {'a string' if kind is str else 'an integer'}"
+            )
     return config
 
 
@@ -399,35 +365,19 @@ def _read_config(path: str) -> dict:
 @click.option("--link-table", "link_table_path", default=None,
               help="path to a link-table JSON (default: bundled)")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override")
-@click.option("--json-out", default=None)
+@click.option("--json-out", type=_OUTPUT, default=None)
 def suite(config_path, json_out, **flags):
     """Run the complete verification battery."""
     params = _read_config(config_path) if config_path else {}
     params.update({key: value for key, value in flags.items() if value is not None})
-    if params.get("max_group_elements") is None:
-        try:
-            params["max_group_elements"] = _max_group_elements()
-        except ValueError as exc:
-            _fail(str(exc))
-    path = params.get("link_table_path")
-    if path is not None:
-        try:
-            linktable.load_file(path)
-        except OSError as exc:
-            _fail(str(exc))
-        except ValueError as exc:
-            _fail(f"{path}: {exc}")
-    try:
-        report = run_suite(**params)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = run_suite(**params)
     for entry in report["checks"]:
         status = "PASS" if entry["pass"] else ("INCONCLUSIVE" if entry.get("inconclusive") else "FAIL")
         click.echo(f"[{status}] {entry['name']}: expected {entry['expected']}, got {entry['actual']}")
     click.echo(f"total: {len(report['checks'])} checks, pass={report['pass']}, "
                f"{report['wallTimeSeconds']}s")
     if json_out:
-        _emit(report, json_out)
+        _emit("suite", report, json_out)
     if report["pass"]:
         sys.exit(EXIT_OK)
     sys.exit(EXIT_INCONCLUSIVE if report["inconclusive"] else EXIT_FAIL)

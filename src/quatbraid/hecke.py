@@ -16,36 +16,39 @@ their Q-rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
 
 from quatbraid.algebra import AlgebraElement, Word
 from quatbraid.scalar import ONE, Scalar, ZETA
 
-# -1/(2 zeta) = (zeta - 1)/2 and -zeta/2
-_S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
+# s_i = S_COEFF T_i and s_i^-1 = _SINV_COEFF (1 - u_i - v_i - u_i v_i), with
+# S_COEFF = -1/(2 zeta) = (zeta - 1)/2 and _SINV_COEFF = -zeta/2
+S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def quad_words(n: int, i: int) -> tuple[Word, Word, Word, Word]:
+    """The four words 1, u_i, v_i, u_i v_i of T_i = 1 + u_i + v_i + u_i v_i."""
+    bit = 1 << (i - 1)
+    return Word(n, 0, 0), Word(n, bit, 0), Word(n, 0, bit), Word(n, bit, bit)
 
 
 def _quad_span(n: int, i: int, coeff: Scalar, signs: tuple[int, int, int, int]) -> AlgebraElement:
     """coeff * (a + b*u_i + c*v_i + d*u_i v_i) with a..d in {+1,-1}."""
-    bit = 1 << (i - 1)
-    words = [Word(n, 0, 0), Word(n, bit, 0), Word(n, 0, bit), Word(n, bit, bit)]
-    terms = {}
-    for w, sg in zip(words, signs):
-        terms[w] = coeff if sg > 0 else -coeff
-    return AlgebraElement(n, terms)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for n={n}")
+    return AlgebraElement(
+        n, {w: coeff if sg > 0 else -coeff for w, sg in zip(quad_words(n, i), signs)}
+    )
 
 
 def braid_generator(n: int, i: int) -> AlgebraElement:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    return _quad_span(n, i, _S_COEFF, (1, 1, 1, 1))
+    return _quad_span(n, i, S_COEFF, (1, 1, 1, 1))
 
 
 def braid_generator_inverse(n: int, i: int) -> AlgebraElement:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
     return _quad_span(n, i, _SINV_COEFF, (1, -1, -1, -1))
 
 
@@ -55,24 +58,6 @@ def idempotent(n: int, i: int) -> AlgebraElement:
     s = braid_generator(n, i)
     num = AlgebraElement.scalar(n, q) - s
     return num.scale((ONE + q).inverse())
-
-
-@dataclass
-class HeckeGenerators:
-    n: int
-    s: list[AlgebraElement]
-    s_inv: list[AlgebraElement]
-    f: list[AlgebraElement]
-
-    @staticmethod
-    def build(n: int) -> HeckeGenerators:
-        rng = range(1, n)
-        return HeckeGenerators(
-            n=n,
-            s=[braid_generator(n, i) for i in rng],
-            s_inv=[braid_generator_inverse(n, i) for i in rng],
-            f=[idempotent(n, i) for i in rng],
-        )
 
 
 def _entry(relation: str, indices, ok: bool) -> dict:
@@ -87,35 +72,38 @@ def verify_relations(n: int) -> list[dict]:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    g = HeckeGenerators.build(n)
+    gens = range(1, n)
+    s = [braid_generator(n, i) for i in gens]
+    s_inv = [braid_generator_inverse(n, i) for i in gens]
+    f = [idempotent(n, i) for i in gens]
     q = ZETA
     one = AlgebraElement.one(n)
     zero = AlgebraElement.zero(n)
     report = []
 
     for i in range(n - 2):
-        lhs = g.s[i] * g.s[i + 1] * g.s[i]
-        rhs = g.s[i + 1] * g.s[i] * g.s[i + 1]
+        lhs = s[i] * s[i + 1] * s[i]
+        rhs = s[i + 1] * s[i] * s[i + 1]
         report.append(_entry("B1", (i + 1,), lhs == rhs))
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
-            report.append(_entry("B2", (i + 1, j + 1), g.s[i] * g.s[j] == g.s[j] * g.s[i]))
+            report.append(_entry("B2", (i + 1, j + 1), s[i] * s[j] == s[j] * s[i]))
     for i in range(n - 1):
-        quad = (g.s[i] - AlgebraElement.scalar(n, q)) * (g.s[i] + one)
+        quad = (s[i] - AlgebraElement.scalar(n, q)) * (s[i] + one)
         report.append(_entry("E1", (i + 1,), quad == zero))
-        report.append(_entry("inverse", (i + 1,), g.s[i] * g.s_inv[i] == one))
-        cube = g.s[i] * g.s[i] * g.s[i]
+        report.append(_entry("inverse", (i + 1,), s[i] * s_inv[i] == one))
+        cube = s[i] * s[i] * s[i]
         report.append(_entry("cube=-1", (i + 1,), cube == -one))
 
     for i in range(n - 1):
-        report.append(_entry("H1", (i + 1,), g.f[i] * g.f[i] == g.f[i]))
+        report.append(_entry("H1", (i + 1,), f[i] * f[i] == f[i]))
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
-            report.append(_entry("H2", (i + 1, j + 1), g.f[i] * g.f[j] == g.f[j] * g.f[i]))
+            report.append(_entry("H2", (i + 1, j + 1), f[i] * f[j] == f[j] * f[i]))
     coeff = q / ((ONE + q) * (ONE + q))
     for i in range(n - 2):
-        lhs = g.f[i] * g.f[i + 1] * g.f[i] - g.f[i].scale(coeff)
-        rhs = g.f[i + 1] * g.f[i] * g.f[i + 1] - g.f[i + 1].scale(coeff)
+        lhs = f[i] * f[i + 1] * f[i] - f[i].scale(coeff)
+        rhs = f[i + 1] * f[i] * f[i + 1] - f[i + 1].scale(coeff)
         report.append(_entry("H3", (i + 1,), lhs == rhs))
     return report
 

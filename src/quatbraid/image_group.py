@@ -22,8 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from quatbraid.algebra import AlgebraElement, Word, center, mul_words, word_count
-from quatbraid.hecke import braid_generator
+from quatbraid.algebra import Word, center, word_count
+from quatbraid.hecke import S_COEFF
+from quatbraid.intspan import t_action
 from quatbraid.scalar import ZERO, Scalar, exact_determinant
 
 
@@ -33,45 +34,35 @@ class NotASignedWordError(RuntimeError):
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Permutation of word indices with a sign per point."""
+    """Signed permutation of word indices as a row of signed codes.
+
+    codes[x] = 2*target + (sign < 0) in uint16, which fits for n <= 8.
+    """
 
     n: int
-    perm: np.ndarray   # intp, shape (4^(n-1),)
-    signs: np.ndarray  # int8 in {+1,-1}, shape (4^(n-1),)
+    codes: np.ndarray  # uint16, shape (4^(n-1),)
+
+    def __post_init__(self):
+        if 2 * len(self.codes) > 1 << 16:
+            raise OverflowError(f"signed codes do not fit in uint16 for n={self.n}")
 
     @staticmethod
     def identity(n: int) -> SignedPermutation:
-        size = word_count(n)
-        return SignedPermutation(n, np.arange(size, dtype=np.intp), np.ones(size, dtype=np.int8))
+        return SignedPermutation(n, 2 * np.arange(word_count(n), dtype=np.uint16))
 
     def compose(self, other: SignedPermutation) -> SignedPermutation:
         """self after other: x -> self(other(x)), signs multiplying along the way."""
         if self.n != other.n:
             raise ValueError("strand mismatch")
-        perm = self.perm[other.perm]
-        signs = other.signs * self.signs[other.perm]
-        return SignedPermutation(self.n, perm, signs)
+        return SignedPermutation(self.n, _after(self.codes, other.codes))
 
     def inverse(self) -> SignedPermutation:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm), dtype=np.intp)
-        return SignedPermutation(self.n, inv, self.signs[inv])
+        inv = np.empty_like(self.codes)
+        inv[self.codes >> 1] = 2 * np.arange(len(self.codes), dtype=np.uint16) + (self.codes & 1)
+        return SignedPermutation(self.n, inv)
 
     def is_identity(self) -> bool:
-        size = len(self.perm)
-        return bool(
-            np.array_equal(self.perm, np.arange(size, dtype=np.intp))
-            and np.all(self.signs == 1)
-        )
-
-    def key(self) -> bytes:
-        return self.perm.astype(np.uint32).tobytes() + np.packbits(self.signs < 0).tobytes()
-
-    def codes(self) -> np.ndarray:
-        """Signed codes 2*perm + (sign < 0) as uint16 (they fit for n <= 8)."""
-        if 2 * len(self.perm) > 1 << 16:
-            raise OverflowError(f"signed codes do not fit in uint16 for n={self.n}")
-        return (2 * self.perm + (self.signs < 0)).astype(np.uint16)
+        return self == SignedPermutation.identity(self.n)
 
     def order(self) -> int:
         k = 1
@@ -86,10 +77,16 @@ class SignedPermutation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):
             return NotImplemented
-        return self.n == other.n and self.key() == other.key()
+        return self.n == other.n and np.array_equal(self.codes, other.codes)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.codes.tobytes())
+
+
+def _times(table: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarray:
+    """A `t_action` table applied to every column of the integer matrix mat."""
+    sources, signs = table
+    return (signs[:, :, None] * mat[sources]).sum(axis=0)
 
 
 def conjugation_action(i: int, n: int) -> SignedPermutation:
@@ -97,33 +94,28 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
 
     s_i = c T_i and s_i^-1 = c' T'_i with T_i = 1 + u_i + v_i + u_i v_i,
     T'_i = 1 - u_i - v_i - u_i v_i and c c' = 1/4, so the conjugate is
-    (1/4) T'_i w T_i: an integer combination of words whose signs come from
-    `mul_words` alone.  It must be a single word with coefficient +-4.
+    (1/4) T'_i w T_i.  Applying the right T_i table and then the left T'_i
+    table to the integer identity matrix gives T'_i w T_i for every word w at
+    once, one column each; each column must be a single word with
+    coefficient +-4.
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    bit = 1 << (i - 1)
-    quad = [Word(n, 0, 0), Word(n, bit, 0), Word(n, 0, bit), Word(n, bit, bit)]
     size = word_count(n)
-    perm = np.empty(size, dtype=np.intp)
-    signs = np.empty(size, dtype=np.int8)
-    for idx in range(size):
+    sources, signs = t_action(n, i, left=True)
+    t_prime = (sources, signs * np.array([1, -1, -1, -1])[:, None])
+    conj = _times(t_prime, _times(t_action(n, i), np.eye(size, dtype=np.int64)))
+    terms = np.count_nonzero(conj, axis=0)
+    target = np.abs(conj).argmax(axis=0)
+    coeff = conj[target, np.arange(size)]
+    bad = np.flatnonzero((terms != 1) | (np.abs(coeff) != 4))
+    if bad.size:
+        idx = int(bad[0])
         w = Word.from_index(n, idx)
-        acc: dict[int, int] = {}
-        for left_sign, left in zip((1, -1, -1, -1), quad):
-            s1, lw = mul_words(left, w)
-            for right in quad:
-                s2, x = mul_words(lw, right)
-                acc[x.index] = acc.get(x.index, 0) + left_sign * s1 * s2
-        terms = [(target, coeff) for target, coeff in acc.items() if coeff]
-        if len(terms) != 1:
-            raise NotASignedWordError(f"conjugate of {w} has {len(terms)} terms")
-        (target, coeff), = terms
-        if abs(coeff) != 4:
-            raise NotASignedWordError(f"conjugate of {w} has coefficient {coeff}/4")
-        perm[idx] = target
-        signs[idx] = 1 if coeff > 0 else -1
-    return SignedPermutation(n, perm, signs)
+        if terms[idx] != 1:
+            raise NotASignedWordError(f"conjugate of {w} has {terms[idx]} terms")
+        raise NotASignedWordError(f"conjugate of {w} has coefficient {coeff[idx]}/4")
+    return SignedPermutation(n, (2 * target + (coeff < 0)).astype(np.uint16))
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -167,8 +159,8 @@ def _bfs_levels(gens: list[SignedPermutation], base: np.ndarray, cap: int) -> It
     Raises EnumerationCapExceeded as soon as more than cap elements are found,
     before their rows are built.
     """
-    tables = [g.codes() for g in gens]
-    level = SignedPermutation.identity(gens[0].n).codes()[None, :]
+    tables = [g.codes for g in gens]
+    level = SignedPermutation.identity(gens[0].n).codes[None, :]
     keys = level[:, base]
     last_keys = keys[:0]
     found = 1
@@ -219,7 +211,7 @@ def enumerate_group(n: int, max_elements: int = 2_000_000) -> dict:
     actions = [conjugation_action(i, n) for i in range(1, n)]
     gens = actions + [a.inverse() for a in actions]
     base = _generator_words(n)
-    codes = [a.codes() for a in actions]
+    codes = [a.codes for a in actions]
     order = central = 0
     for level in _bfs_levels(gens, base, max_elements):
         order += len(level)
@@ -251,15 +243,10 @@ def order_formula_estimate(n: int) -> int:
 
 
 def left_regular_matrix(i: int, n: int) -> list[list[Scalar]]:
-    """Matrix of left multiplication by s_i on the word basis."""
-    size = word_count(n)
-    s = braid_generator(n, i)
-    mat = [[ZERO] * size for _ in range(size)]
-    for col in range(size):
-        prod = s * AlgebraElement.from_word(Word.from_index(n, col))
-        for w, c in prod.terms.items():
-            mat[w.index][col] = c
-    return mat
+    """Matrix of left multiplication by s_i = c T_i on the word basis."""
+    entry = {-1: -S_COEFF, 0: ZERO, 1: S_COEFF}
+    ints = _times(t_action(n, i, left=True), np.eye(word_count(n), dtype=np.int64))
+    return [[entry[v] for v in row] for row in ints.tolist()]
 
 
 def left_regular_determinant(i: int, n: int) -> Scalar:

@@ -1,10 +1,11 @@
 """Exact span closure over the integers: the rank of the T-words.
 
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
-right multiplication by it is a sum of four signed permutations of the
-4^(n-1) word indices.  Closing {1} under right multiplication by every T_i and
-row-reducing fraction-free over Z gives the Q-rank of all T-words exactly,
-with int64 numpy vectors, no floating point and no modular arithmetic.
+multiplication by it on either side is a sum of four signed permutations of
+the 4^(n-1) word indices (`t_action`).  Closing {1} under right multiplication
+by every T_i and row-reducing fraction-free over Z gives the Q-rank of all
+T-words exactly, with int64 numpy vectors, no floating point and no modular
+arithmetic.
 `hecke.subalgebra_dimension` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 """
@@ -16,6 +17,7 @@ import functools
 import numpy as np
 
 from quatbraid.algebra import Word, mul_words, word_count
+from quatbraid.hecke import quad_words
 
 # Every entry stays below this bound before it is multiplied, so a product of
 # two entries is below 2^62 and a difference of two such products fits int64.
@@ -23,22 +25,24 @@ _ENTRY_LIMIT = 1 << 31
 
 
 @functools.lru_cache(maxsize=None)
-def _t_action(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right multiplication by T_i = 1 + u_i + v_i + u_i v_i as four signed gathers.
+def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplication by T_i = 1 + u_i + v_i + u_i v_i as four signed gathers.
 
     Returns (sources, signs), each of shape (4, 4^(n-1)), with
-    (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]] on word indices.
+    (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]] on word indices,
+    or (T_i vec)[y] when left is true.
     """
-    bit = 1 << (i - 1)
-    terms = [Word(n, 0, 0), Word(n, bit, 0), Word(n, 0, bit), Word(n, bit, bit)]
     size = word_count(n)
     sources = np.empty((4, size), dtype=np.intp)
     signs = np.empty((4, size), dtype=np.int64)
-    for k, t in enumerate(terms):
+    for k, t in enumerate(quad_words(n, i)):
         for x in range(size):
-            sign, y = mul_words(Word.from_index(n, x), t)
+            w = Word.from_index(n, x)
+            sign, y = mul_words(t, w) if left else mul_words(w, t)
             sources[k, y.index] = x
             signs[k, y.index] = sign
+    # every caller shares the cached arrays
+    sources.flags.writeable = signs.flags.writeable = False
     return sources, signs
 
 
@@ -57,7 +61,7 @@ def _primitive(v: np.ndarray) -> np.ndarray:
 def _times_t(vec: np.ndarray, n: int, i: int) -> np.ndarray:
     """vec T_i for an integer coefficient vector on the word basis."""
     _check_entries(vec)
-    sources, signs = _t_action(n, i)
+    sources, signs = t_action(n, i)
     return (signs * vec[sources]).sum(axis=0)
 
 

@@ -59,7 +59,11 @@ def load_bundled() -> list[LinkEntry]:
 
 
 def load_file(path: str | Path) -> list[LinkEntry]:
+    """The link table in the JSON file at path; a ValueError names the path."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"link table not found: {p}")
-    return _parse(json.loads(p.read_text()))
+    try:
+        return _parse(json.loads(p.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None

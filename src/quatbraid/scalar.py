@@ -84,10 +84,6 @@ class Scalar:
         """Pair of fraction strings ["p/q", "r/s"] for report files."""
         return [str(self.a), str(self.b)]
 
-    @staticmethod
-    def from_json(pair) -> Scalar:
-        return Scalar(Fraction(pair[0]), Fraction(pair[1]))
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

@@ -82,18 +82,46 @@ def test_invariant_bad_letter(runner):
         ["suite", "--config", {"json": '{"group_n_max": 6, "dim_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"dim_n_max": 7, "group_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"markov_braids": -3, "group_n_max": 2, "dim_n_max": 2}'}],
+        [],
+        ["suite", "--seed", "abc"],
+        ["suite", "--bogus"],
+        ["group", "--n", "x"],
+        ["bratteli", "--levels", "1", "--dot", {"missing": "graph.dot"}],
+        ["bratteli", "--levels", "3", "--dot", {"missing": "dir/graph.dot"}],
+        ["verify", "--n", "3", "--json-out", {"missing": "dir/report.json"}],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):
-    # an argument {"json": text} stands for the path of a file holding text
+    # an argument {"json": text} stands for the path of a file holding text,
+    # {"missing": name} for a path under tmp_path that must stay absent
     argv = []
     for arg in args:
-        if isinstance(arg, dict):
+        if isinstance(arg, dict) and "json" in arg:
             path = tmp_path / "input.json"
             path.write_text(arg["json"])
             arg = str(path)
+        elif isinstance(arg, dict):
+            arg = str(tmp_path / arg["missing"])
         argv.append(arg)
     _assert_one_line_error(runner.invoke(cli, argv))
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["input.json"])
+
+
+def test_help_exits_zero(runner):
+    result = runner.invoke(cli, ["--help"])
+    assert result.exit_code == 0
+    assert "Usage:" in result.output and "suite" in result.output
+
+
+def test_unwritable_suite_report_fails_before_any_work(runner, monkeypatch, tmp_path):
+    # the relation checks run first; reaching them means the report path was tried too late
+    def no_work(n):
+        raise AssertionError("a check ran before the report file was opened")
+
+    monkeypatch.setattr("quatbraid.hecke.verify_relations", no_work)
+    result = runner.invoke(cli, ["suite", "--json-out", str(tmp_path / "missing" / "report.json")])
+    _assert_one_line_error(result)
+    assert "report.json" in result.output
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quatbraid.algebra import AlgebraElement, Word, word_count
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
-    HeckeGenerators,
-    _S_COEFF,
+    S_COEFF,
     braid_generator,
     braid_generator_inverse,
     idempotent,
@@ -55,8 +54,8 @@ def test_inverse_closed_form():
     assert s_inv * s == AlgebraElement.one(n)
     # -zeta/2 (1 - u1 - v1 - u1v1)
     coeff = Scalar.of(0, Fraction(-1, 2))
-    assert s_inv.coeff(Word(n, 0, 0)) == coeff
-    assert s_inv.coeff(Word(n, 1, 0)) == -coeff
+    assert s_inv.terms[Word(n, 0, 0)] == coeff
+    assert s_inv.terms[Word(n, 1, 0)] == -coeff
 
 
 def test_generator_trace():
@@ -92,10 +91,12 @@ def test_generator_index_bounds():
 
 
 def test_build_bundle():
-    g = HeckeGenerators.build(4)
-    assert len(g.s) == len(g.s_inv) == len(g.f) == 3
-    for s, s_inv in zip(g.s, g.s_inv):
-        assert s * s_inv == AlgebraElement.one(4)
+    # the generators, their inverses and their idempotents at every position
+    n = 4
+    for i in range(1, n):
+        s, s_inv, f = braid_generator(n, i), braid_generator_inverse(n, i), idempotent(n, i)
+        assert s * s_inv == AlgebraElement.one(n)
+        assert f * f == f
 
 
 @pytest.mark.parametrize("n,expected", [(2, 2), (3, 6), (4, 22), (5, 86), (6, 342)])
@@ -115,7 +116,7 @@ def test_integer_t_action_matches_sign_algebra(data):
     def element(v):
         return AlgebraElement(n, {Word.from_index(n, x): Scalar.of(int(c)) for x, c in enumerate(v)})
 
-    assert element(_times_t(vec, n, i)) == (element(vec) * braid_generator(n, i)).scale(_S_COEFF.inverse())
+    assert element(_times_t(vec, n, i)) == (element(vec) * braid_generator(n, i)).scale(S_COEFF.inverse())
 
 
 def test_closure_overflow_guard():

