@@ -211,9 +211,11 @@ def run_suite(
 ) -> dict:
     """Full verification battery; returns the report dict.
 
-    Raises ValueError before any check runs when dim_n_max, group_n_max,
-    markov_braids or max_group_elements is outside the range the checks support.
+    Raises ValueError before any check runs when a parameter is outside the
+    range the checks support.
     """
+    if relation_n_max < 3:
+        raise ValueError(f"relation_n_max must be at least 3 (relations need three strands), got {relation_n_max}")
     if dim_n_max > 6:
         raise ValueError(f"dim_n_max must be at most 6, got {dim_n_max}")
     if group_n_max > 5:
@@ -224,7 +226,7 @@ def run_suite(
         raise ValueError(f"max_group_elements must be a positive integer, got {max_group_elements}")
     cap = max_group_elements if max_group_elements is not None else _max_group_elements()
     links = linktable.load_file(link_table_path) if link_table_path else linktable.load_bundled()
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     inconclusive = False
 
@@ -327,7 +329,7 @@ def run_suite(
         "pass": ok,
         "inconclusive": inconclusive,
         "checks": checks,
-        "wallTimeSeconds": round(time.time() - t0, 3),
+        "wallTimeSeconds": round(time.perf_counter() - t0, 3),
     }
 
 

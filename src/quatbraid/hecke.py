@@ -209,7 +209,8 @@ def subalgebra_dimension(n: int) -> int:
     coordinates on the word basis, and a set of rational vectors has the same
     rank over Q(zeta) as over Q (Gaussian elimination never leaves the field
     of the entries).  So the dimension is the Q-rank of the T-words, which
-    `intspan.t_word_rank` computes by fraction-free elimination over Z.
+    `intspan.t_word_rank` computes round by round with batched elimination over
+    Z, entries below 2^31 and matrix products below 2^62 (else OverflowError).
     """
     if not 2 <= n <= 6:
         raise ValueError("supported range is 2 <= n <= 6")

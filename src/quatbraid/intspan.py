@@ -3,25 +3,28 @@
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
 the 4^(n-1) word indices (`t_action`).  Closing {1} under right multiplication
-by every T_i and row-reducing fraction-free over Z gives the Q-rank of all
-T-words exactly, with int64 numpy vectors, no floating point and no modular
-arithmetic.
-`hecke.subalgebra_dimension` explains why that rank is the dimension of the
-subalgebra generated by the braid generators.
+by every T_i, one word length per round and one int64 matrix product per
+block of a round, gives the Q-rank of all T-words exactly.  Both factors of
+every elementwise multiply are below 2^31, and A @ B is taken only when max|A|
+times the columns of A times max|B| is below 2^62, so int64 never wraps
+(OverflowError instead).  `hecke.subalgebra_dimension` explains why that rank
+is the dimension of the subalgebra generated by the braid generators.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from quatbraid.algebra import Word, mul_words, word_count
 from quatbraid.hecke import quad_words
 
-# Every entry stays below this bound before it is multiplied, so a product of
-# two entries is below 2^62 and a difference of two such products fits int64.
-_ENTRY_LIMIT = 1 << 31
+# entry and matrix product bounds; int64 holds the difference of two products
+_ENTRY_LIMIT, _PRODUCT_LIMIT = 1 << 31, 1 << 62
+# Frontier rows multiplied by one T_i at a time; bounds the batch temporaries.
+_BLOCK_ROWS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -46,72 +49,84 @@ def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
     return sources, signs
 
 
-def _check_entries(*vecs: np.ndarray) -> None:
-    for v in vecs:
-        if np.abs(v).max() >= _ENTRY_LIMIT:
-            raise OverflowError("span closure entry reached 2^31; int64 could wrap")
+def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
+    if bound >= limit:
+        raise OverflowError(f"span closure value could reach 2^{limit.bit_length() - 1}; int64 could wrap")
 
 
-def _primitive(v: np.ndarray) -> np.ndarray:
-    """v divided by the gcd of its entries; the zero vector is returned as is."""
-    g = np.gcd.reduce(v)
-    return v // g if g > 1 else v
+def _magnitude(*arrays: np.ndarray) -> int:
+    """The largest |entry| of the arrays, without an |a| temporary."""
+    return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size), default=0)
 
 
-def _times_t(vec: np.ndarray, n: int, i: int) -> np.ndarray:
-    """vec T_i for an integer coefficient vector on the word basis."""
-    _check_entries(vec)
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by the gcd of its entries; zero rows are returned as is."""
+    return rows // np.maximum(np.gcd.reduce(rows, axis=-1, keepdims=True), 1)
+
+
+def _times_t(vecs: np.ndarray, n: int, i: int) -> np.ndarray:
+    """vecs T_i for integer coefficient vectors on the word basis, one per row."""
+    _check(_magnitude(vecs))
     sources, signs = t_action(n, i)
-    return (signs * vec[sources]).sum(axis=0)
+    return sum(signs[k] * vecs[..., sources[k]] for k in range(4))
 
 
-def _cancel(v: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
-    """Primitive part of row[p] v - v[p] row, whose entry at p is zero."""
-    _check_entries(v, row)
-    return _primitive(row[p] * v - v[p] * row)
+def _reduce(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Primitive rows spanning vecs modulo the basis, zero at every pivot column.
+
+    The basis is fully reduced, so basis[:, pivots] is diagonal with positive
+    pivots d; with L = lcm(d) this is L vecs - (vecs[:, pivots] L/d) @ basis.
+    """
+    d = basis[np.arange(len(pivots)), pivots]
+    lcm = math.lcm(*set(d.tolist()))
+    _check(max(lcm, _magnitude(vecs)))
+    coeffs = vecs[:, pivots] * (lcm // d)
+    used = np.flatnonzero(coeffs.any(axis=0))
+    coeffs, rows = coeffs[:, used], basis[used]
+    _check(_magnitude(coeffs) * len(used) * _magnitude(rows), _PRODUCT_LIMIT)
+    return _primitive(lcm * vecs - coeffs @ rows)
+
+
+def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fully reduced basis and pivots with vecs added: old rows change in place, new rows last.
+
+    Each new pivot row clears its column in the other rows by `_reduce` with a one-row basis.
+    """
+    vecs = _reduce(_primitive(vecs), basis, pivots)
+    new = []
+    for r in range(len(vecs)):
+        nonzero = np.flatnonzero(vecs[r])
+        if not nonzero.size:
+            continue
+        p = int(nonzero[0])
+        vecs[r] *= np.sign(vecs[r, p])
+        for rows in (basis, vecs):
+            hit = np.flatnonzero(rows[:, p])
+            hit = hit[hit != r] if rows is vecs else hit
+            if hit.size:
+                rows[hit] = _reduce(rows[hit], vecs[r:r + 1], np.array([p]))
+        new.append(p)
+    if not new:
+        return basis, pivots
+    return np.concatenate([basis, vecs[vecs.any(axis=1)]]), np.append(pivots, new)
 
 
 def t_word_rank(n: int) -> int:
     """Rank over Q of the T-words on n strands, by span closure over Z.
 
-    Starting from 1, every new vector is multiplied by every T_i and the
-    primitive product is inserted into a fraction-free echelon basis over Z:
-    primitive rows, positive pivots, and each pivot column zero in every other
-    row.  The span stops growing exactly when it is closed under all T_i.
-    Entries are checked against 2^31 before every multiply, so the int64
-    arithmetic never wraps (OverflowError instead).
+    Each round multiplies the rows the previous round added by every T_i, in
+    blocks of _BLOCK_ROWS rows, into a fully reduced echelon basis over Z with
+    primitive rows and positive pivots; the span is closed when a round adds nothing.
     """
-    basis: dict[int, np.ndarray] = {}
-
-    def insert(vec: np.ndarray) -> bool:
-        v = vec
-        for p in [p for p in basis if v[p]]:
-            v = _cancel(v, basis[p], p)
-        nonzero = np.flatnonzero(v)
-        if not nonzero.size:
-            return False
-        pivot = int(nonzero[0])
-        if v[pivot] < 0:
-            v = -v
-        # keep the basis fully reduced: clear the new pivot column elsewhere
-        for p, row in basis.items():
-            if row[pivot]:
-                basis[p] = _cancel(row, v, pivot)
-        basis[pivot] = v
-        return True
-
-    one = np.zeros(word_count(n), dtype=np.int64)
-    one[Word.identity(n).index] = 1
-    insert(one)
-    frontier = [one]
-    while frontier:
-        new_frontier = []
-        for vec in frontier:
+    size = word_count(n)
+    one = np.eye(1, size, Word.identity(n).index, dtype=np.int64)
+    basis, pivots = _insert(np.zeros((0, size), dtype=np.int64), np.zeros(0, dtype=np.intp), one)
+    start = 0
+    while start < len(basis):
+        frontier, start = basis[start:].copy(), len(basis)
+        for b in range(0, len(frontier), _BLOCK_ROWS):
             for i in range(1, n):
-                prod = _primitive(_times_t(vec, n, i))
-                if insert(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-        if len(basis) > word_count(n):
+                basis, pivots = _insert(basis, pivots, _times_t(frontier[b:b + _BLOCK_ROWS], n, i))
+        if len(basis) > size:
             raise RuntimeError("span closure exceeded the ambient dimension")
     return len(basis)

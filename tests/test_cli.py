@@ -82,6 +82,7 @@ def test_invariant_bad_letter(runner):
         ["suite", "--config", {"json": '{"group_n_max": 6, "dim_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"dim_n_max": 7, "group_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"markov_braids": -3, "group_n_max": 2, "dim_n_max": 2}'}],
+        ["suite", "--config", {"json": '{"relation_n_max": 2}'}],
         [],
         ["suite", "--seed", "abc"],
         ["suite", "--bogus"],
@@ -231,8 +232,10 @@ def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"group_n_max": 6}, {"dim_n_max": 7}, {"markov_braids": -3}, {"max_group_elements": 0}],
-    ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap"],
+    "bad",
+    [{"group_n_max": 6}, {"dim_n_max": 7}, {"markov_braids": -3}, {"max_group_elements": 0},
+     {"relation_n_max": 2}],
+    ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap", "relation-n-max"],
 )
 def test_run_suite_checks_ranges_before_any_work(monkeypatch, bad):
     # the relation checks run first; reaching them means the range check came too late

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatbraid.algebra import AlgebraElement, Word, word_count
+from quatbraid.algebra import AlgebraElement, Word, mul_words, word_count
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     S_COEFF,
@@ -19,7 +19,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import _cancel, _times_t
+from quatbraid.intspan import _insert, _reduce, _times_t, t_word_rank
 from quatbraid.scalar import ONE, Scalar, ZETA
 
 
@@ -104,30 +104,115 @@ def test_subalgebra_dimension(n, expected):
     assert subalgebra_dimension(n) == expected == hecke_dimension(3, 6, n)
 
 
+def _t_words(n, length):
+    """Every T-word of at most `length` letters as a {word index: coefficient} dict.
+
+    Built from mul_words on the words 1, u_i, v_i, u_i v_i, independently of
+    the integer tables the closure uses.
+    """
+    quads = [[Word(n, e, v) for e, v in ((0, 0), (b, 0), (0, b), (b, b))]
+             for b in (1 << k for k in range(n - 1))]
+    level = [{Word.identity(n).index: 1}]
+    words = list(level)
+    for _ in range(length):
+        nxt = []
+        for element in level:
+            for quad in quads:
+                acc = {}
+                for x, c in element.items():
+                    for t in quad:
+                        sign, y = mul_words(Word.from_index(n, x), t)
+                        acc[y.index] = acc.get(y.index, 0) + sign * c
+                nxt.append(acc)
+        level = nxt
+        words += level
+    return words
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_t_word_rank_matches_sympy(n):
+    # sympy's exact rank of the T-words up to the closure's 2(n-1) rounds; one
+    # round fewer gives the same rank, so those words span a closed space
+    import sympy
+
+    rounds = 2 * (n - 1)
+    words = _t_words(n, rounds)
+
+    def rank(length):
+        count = sum((n - 1) ** k for k in range(length + 1))
+        rows = {tuple(w.get(x, 0) for x in range(word_count(n))) for w in words[:count]}
+        # a word and its negative add nothing to the rank; sympy's rank is slow
+        rows = {max(row, tuple(-c for c in row)) for row in rows}
+        return sympy.Matrix(sorted(rows)).rank()
+
+    assert rank(rounds - 1) == rank(rounds) == t_word_rank(n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_integer_t_action_matches_sign_algebra(data):
-    # s_i = c T_i, so vec T_i must equal (vec * s_i) / c on every word.
+    # s_i = c T_i, so vec T_i must equal (vec * s_i) / c on every word, one
+    # vector at a time and for several rows at once.
     n = data.draw(st.integers(2, 5), label="n")
     i = data.draw(st.integers(1, n - 1), label="i")
+    rows = data.draw(st.integers(1, 3), label="rows")
     size = word_count(n)
-    vec = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), dtype=np.int64)
+    entries = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    matrix = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows)), dtype=np.int64)
 
     def element(v):
         return AlgebraElement(n, {Word.from_index(n, x): Scalar.of(int(c)) for x, c in enumerate(v)})
 
-    assert element(_times_t(vec, n, i)) == (element(vec) * braid_generator(n, i)).scale(S_COEFF.inverse())
+    products = _times_t(matrix, n, i)
+    assert products.shape == matrix.shape
+    for vec, prod in zip(matrix, products):
+        assert element(_times_t(vec, n, i)) == element(prod)
+        assert element(prod) == (element(vec) * braid_generator(n, i)).scale(S_COEFF.inverse())
+
+
+def test_reduce_with_non_unit_pivots():
+    # lcm(2, 3) = 6: 6 (1, 1, 1) - 3 (2, 0, 1) - 2 (0, 3, 1) = (0, 0, 1)
+    basis = np.array([[2, 0, 1], [0, 3, 1]], dtype=np.int64)
+    pivots = np.array([0, 1])
+    vecs = np.array([[1, 1, 1], [2, 0, 1], [2, 3, 0]], dtype=np.int64)
+    assert _reduce(vecs, basis, pivots).tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, -1]]
+    # adding (0, 0, 1) clears the last column of the basis, which stays primitive
+    basis, pivots = _insert(basis, pivots, vecs[:1])
+    assert basis.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and pivots.tolist() == [0, 1, 2]
 
 
 def test_closure_overflow_guard():
-    big = np.array([1 << 31, 1, 0, 0], dtype=np.int64)
-    row = np.array([1, 0, 1, 0], dtype=np.int64)
-    with pytest.raises(OverflowError):
-        _cancel(big, row, 0)
-    with pytest.raises(OverflowError):
-        _cancel(row, big, 0)
+    big = np.array([[1 << 31, 1, 0, 0], [0, 1, 0, 1]], dtype=np.int64)
+    unit = np.eye(4, dtype=np.int64)[:1]
+    # the matrix product by T_i, and the batched reduction of its input
     with pytest.raises(OverflowError):
         _times_t(big, 2, 1)
+    with pytest.raises(OverflowError):
+        _reduce(big, unit, np.array([0]))
+    with pytest.raises(OverflowError):
+        _insert(unit, np.array([0]), big)
+    # the elimination of a block among itself: a big cancelled row, a big pivot row
+    with pytest.raises(OverflowError):
+        _reduce(big, big[1:], np.array([1]))
+    with pytest.raises(OverflowError):
+        _reduce(big[1:], big[:1], np.array([0]))
+    # a new pivot row that the reduction left at -near^2, clearing 3 in a block row
+    near = (1 << 31) - 1
+    pivot_row = np.array([[1, 0, near]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _insert(pivot_row, np.array([0]), np.array([[near, 1, 0], [0, 3, 1]], dtype=np.int64))
+    # a basis row whose product with the coefficients could pass 2^62
+    huge = np.array([[1 << 62, 1, 0, 0]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _reduce(np.array([[0, 2, 0, 0]], dtype=np.int64), huge, np.array([1]))
+    # entries below 2^31 whose matrix product could pass 2^62 and wrap int64
+    basis = np.hstack([np.eye(4, dtype=np.int64), np.full((4, 1), near)])
+    with pytest.raises(OverflowError):
+        _reduce(np.array([[near] * 4 + [0]], dtype=np.int64), basis, np.arange(4))
+    # pivots whose lcm passes 2^31: 65537 * 65539 > 2^32
+    primes = np.array([[65537, 0], [0, 65539]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _reduce(np.array([[1, 1]], dtype=np.int64), primes, np.arange(2))
 
 
 def test_subalgebra_dimension_range_check():
