@@ -29,11 +29,11 @@ class BraidWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        if self.strands < 1:
-            raise ValueError(f"need at least one strand, got {self.strands}")
+        if type(self.strands) is not int or self.strands < 1:
+            raise ValueError(f"need a positive integer strand count, got {self.strands!r}")
         for a in self.letters:
-            if a == 0 or abs(a) > self.strands - 1:
-                raise ValueError(f"letter {a} invalid on {self.strands} strands")
+            if type(a) is not int or a == 0 or abs(a) > self.strands - 1:
+                raise ValueError(f"letter {a!r} invalid on {self.strands} strands")
 
     @property
     def exponent_sum(self) -> int:
@@ -84,16 +84,9 @@ def markov_move_test(beta: BraidWord, trials: int = 20, seed: int = 0) -> dict:
     base = invariant(beta)
     failures = []
     for t in range(trials):
-        glen = rng.randint(1, 6)
-        gamma = BraidWord(
-            beta.strands,
-            tuple(
-                rng.choice([-1, 1]) * rng.randint(1, max(beta.strands - 1, 1))
-                for _ in range(glen)
-            )
-            if beta.strands >= 2
-            else (),
-        )
+        glen = rng.randint(1, 6) if beta.strands >= 2 else 0  # one strand has no letters
+        letters = (rng.choice([-1, 1]) * rng.randint(1, beta.strands - 1) for _ in range(glen))
+        gamma = BraidWord(beta.strands, tuple(letters))
         conj = beta.conjugate_by(gamma)
         if invariant(conj) != base:
             failures.append({"move": "conjugation", "trial": t, "gamma": list(gamma.letters)})

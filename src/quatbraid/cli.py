@@ -190,7 +190,7 @@ def cover_dim(seifert_path):
         report = {
             "entries": [
                 {"name": e.name, "dim": cover.triple_cover_dim(e.seifert_rows)}
-                for e in linktable.load_file(seifert_path)
+                for e in linktable.parse(data, seifert_path)
                 if e.seifert is not None
             ]
         }

@@ -9,15 +9,15 @@ branched over the link is presented by the block matrix
 and the Z2-dimension we need is the nullity of M mod 2.  This is the exponent
 appearing in the magnitude of the closed-braid invariant, computed here by an
 entirely independent route (integer matrices and F2 elimination, no braid or
-algebra arithmetic).  The homology itself stays integer plus F2; the two
-Seifert determinants (double cover order, symplectic check) use the package's
-one exact determinant, `scalar.exact_determinant`.
+algebra arithmetic).  Everything here is integer plus F2: the two Seifert
+determinants (double cover order, symplectic check) use the package's one
+determinant, the integer `intspan.exact_determinant`.
 """
 
 from __future__ import annotations
 
 from quatbraid import gf2
-from quatbraid.scalar import Scalar, exact_determinant
+from quatbraid.intspan import exact_determinant
 
 
 def check_matrix(v: list[list[int]]):
@@ -57,13 +57,10 @@ def triple_cover_dim(v: list[list[int]]) -> int:
 
 
 def _sym_determinant(v: list[list[int]], sign: int) -> int:
-    """det(V + sign * V^T), through the exact Q(zeta) determinant."""
+    """det(V + sign * V^T) over the integers."""
     check_matrix(v)
     m = len(v)
-    mat = [[Scalar.of(v[i][j] + sign * v[j][i]) for j in range(m)] for i in range(m)]
-    det = exact_determinant(mat)
-    assert det.is_rational() and det.a.denominator == 1
-    return int(det.a)
+    return exact_determinant([[v[i][j] + sign * v[j][i] for j in range(m)] for i in range(m)])
 
 
 def double_cover_determinant(v: list[list[int]]) -> int:

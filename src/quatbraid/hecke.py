@@ -26,6 +26,8 @@ from quatbraid.scalar import ONE, Scalar, ZETA
 # S_COEFF = -1/(2 zeta) = (zeta - 1)/2 and _SINV_COEFF = -zeta/2
 S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
+# random linear combinations checked by verify_markov, and their seed
+_MARKOV_EXTRA_RANDOM, _MARKOV_SEED = 25, 7
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +145,7 @@ def markov_scaling_constants() -> tuple[Scalar, Scalar]:
     return (q - ONE) * half, (ONE - q) * half / q
 
 
-def verify_markov(n: int, extra_random: int = 25, seed: int = 7) -> list[dict]:
+def verify_markov(n: int) -> list[dict]:
     """Tr(f_{n-1} b) = (1/2) Tr(b) over a spanning set of the sub-strand algebra.
 
     The spanning set is every word in the first n-2 positions; a few random
@@ -173,15 +175,15 @@ def verify_markov(n: int, extra_random: int = 25, seed: int = 7) -> list[dict]:
     )
     report.append({"relation": "markov-span", "indices": [len(sub_words)], "pass": ok_words})
 
-    rng = random.Random(seed)
+    rng = random.Random(_MARKOV_SEED)
     pool = [Scalar.of(k) for k in range(-2, 3)] + [ZETA, -ZETA, ZETA * ZETA]
     ok_rand = True
-    for _ in range(extra_random):
+    for _ in range(_MARKOV_EXTRA_RANDOM):
         k = min(5, len(sub_words))
         b = AlgebraElement(n, {w: rng.choice(pool) for w in rng.sample(sub_words, k)})
         if (f_last * b).trace() != half * b.trace():
             ok_rand = False
-    report.append({"relation": "markov-random", "indices": [extra_random], "pass": ok_rand})
+    report.append({"relation": "markov-random", "indices": [_MARKOV_EXTRA_RANDOM], "pass": ok_rand})
 
     z_pos, z_neg = markov_scaling_constants()
     s_last = braid_generator(n, n - 1)

@@ -13,6 +13,11 @@ are told apart by their codes at the 2(n-1) words u_i, v_i alone: every
 element is a composition of conjugations by units of the algebra, hence an
 algebra automorphism, and the u_i, v_i generate the algebra, so their images
 fix the whole row.  Full rows are built only for elements not seen before.
+
+The conjugation action and the left-regular matrices both come from the
+integer T_i tables of `intspan`, applied by `intspan.gather`.  The
+left-regular determinant of s_i = S_COEFF T_i is S_COEFF^(4^(n-1)) times the
+integer det(T_i), so the only Q(zeta) step is that one scalar product.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 
 from quatbraid.algebra import Word, center, word_count
 from quatbraid.hecke import S_COEFF
-from quatbraid.intspan import t_action
-from quatbraid.scalar import ZERO, Scalar, exact_determinant
+from quatbraid.intspan import exact_determinant, gather, t_action
+from quatbraid.scalar import Scalar
 
 
 class NotASignedWordError(RuntimeError):
@@ -83,31 +88,25 @@ class SignedPermutation:
         return hash(self.codes.tobytes())
 
 
-def _times(table: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarray:
-    """A `t_action` table applied to every column of the integer matrix mat."""
-    sources, signs = table
-    return (signs[:, :, None] * mat[sources]).sum(axis=0)
-
-
 def conjugation_action(i: int, n: int) -> SignedPermutation:
     """Signed permutation w -> s_i^-1 w s_i on the word basis.
 
     s_i = c T_i and s_i^-1 = c' T'_i with T_i = 1 + u_i + v_i + u_i v_i,
     T'_i = 1 - u_i - v_i - u_i v_i and c c' = 1/4, so the conjugate is
-    (1/4) T'_i w T_i.  Applying the right T_i table and then the left T'_i
-    table to the integer identity matrix gives T'_i w T_i for every word w at
-    once, one column each; each column must be a single word with
-    coefficient +-4.
+    (1/4) T'_i w T_i.  Gathering the rows of the integer identity matrix
+    through the right T_i table and then the left T'_i table gives T'_i w T_i
+    for every word w at once, one row each; each row must be a single word
+    with coefficient +-4.
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     size = word_count(n)
     sources, signs = t_action(n, i, left=True)
     t_prime = (sources, signs * np.array([1, -1, -1, -1])[:, None])
-    conj = _times(t_prime, _times(t_action(n, i), np.eye(size, dtype=np.int64)))
-    terms = np.count_nonzero(conj, axis=0)
-    target = np.abs(conj).argmax(axis=0)
-    coeff = conj[target, np.arange(size)]
+    conj = gather(t_prime, gather(t_action(n, i), np.eye(size, dtype=np.int64)))
+    terms = np.count_nonzero(conj, axis=1)
+    target = np.abs(conj).argmax(axis=1)
+    coeff = conj[np.arange(size), target]
     bad = np.flatnonzero((terms != 1) | (np.abs(coeff) != 4))
     if bad.size:
         idx = int(bad[0])
@@ -242,15 +241,14 @@ def order_formula_estimate(n: int) -> int:
     return (2 ** ((n - 1) * (n - 2) // 2) * prod) // 3
 
 
-def left_regular_matrix(i: int, n: int) -> list[list[Scalar]]:
-    """Matrix of left multiplication by s_i = c T_i on the word basis."""
-    entry = {-1: -S_COEFF, 0: ZERO, 1: S_COEFF}
-    ints = _times(t_action(n, i, left=True), np.eye(word_count(n), dtype=np.int64))
-    return [[entry[v] for v in row] for row in ints.tolist()]
+def left_regular_matrix(i: int, n: int) -> list[list[int]]:
+    """Integer matrix of left multiplication by T_i on the word basis; s_i = S_COEFF T_i."""
+    rows = gather(t_action(n, i, left=True), np.eye(word_count(n), dtype=np.int64))
+    return rows.T.tolist()
 
 
 def left_regular_determinant(i: int, n: int) -> Scalar:
-    """det of left multiplication by s_i; a 6th root of unity."""
+    """det of left multiplication by s_i = S_COEFF T_i; a 6th root of unity."""
     if n > 4:
         raise ValueError("left-regular determinant supported for n <= 4")
-    return exact_determinant(left_regular_matrix(i, n))
+    return S_COEFF ** word_count(n) * Scalar.of(exact_determinant(left_regular_matrix(i, n)))

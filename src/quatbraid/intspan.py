@@ -1,14 +1,18 @@
-"""Exact span closure over the integers: the rank of the T-words.
+"""The package's integer linear algebra: T_i tables, span closure, determinant.
 
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
-the 4^(n-1) word indices (`t_action`).  Closing {1} under right multiplication
-by every T_i, one word length per round and one int64 matrix product per
-block of a round, gives the Q-rank of all T-words exactly.  Both factors of
-every elementwise multiply are below 2^31, and A @ B is taken only when max|A|
-times the columns of A times max|B| is below 2^62, so int64 never wraps
-(OverflowError instead).  `hecke.subalgebra_dimension` explains why that rank
-is the dimension of the subalgebra generated by the braid generators.
+the 4^(n-1) word indices (`t_action`), applied to row vectors by `gather`.
+Closing {1} under right multiplication by every T_i, one word length per round
+and one int64 matrix product per block of a round, gives the Q-rank of all
+T-words exactly.  Both factors of every elementwise multiply are below 2^31,
+and A @ B is taken only when max|A| times the columns of A times max|B| is
+below 2^62, so int64 never wraps (OverflowError instead).
+`hecke.subalgebra_dimension` explains why that rank is the dimension of the
+subalgebra generated by the braid generators.
+
+`exact_determinant`, the package's one determinant, works on Python ints: every
+matrix it is given (left T_i matrices, Seifert forms V +- V^T) is integral.
 """
 
 from __future__ import annotations
@@ -49,6 +53,12 @@ def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
     return sources, signs
 
 
+def gather(table: tuple[np.ndarray, np.ndarray], vecs: np.ndarray) -> np.ndarray:
+    """A `t_action` table applied to integer coefficient vectors, one per row."""
+    sources, signs = table
+    return sum(signs[k] * vecs[..., sources[k]] for k in range(4))
+
+
 def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
     if bound >= limit:
         raise OverflowError(f"span closure value could reach 2^{limit.bit_length() - 1}; int64 could wrap")
@@ -67,8 +77,7 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
 def _times_t(vecs: np.ndarray, n: int, i: int) -> np.ndarray:
     """vecs T_i for integer coefficient vectors on the word basis, one per row."""
     _check(_magnitude(vecs))
-    sources, signs = t_action(n, i)
-    return sum(signs[k] * vecs[..., sources[k]] for k in range(4))
+    return gather(t_action(n, i), vecs)
 
 
 def _reduce(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -130,3 +139,25 @@ def t_word_rank(n: int) -> int:
         if len(basis) > size:
             raise RuntimeError("span closure exceeded the ambient dimension")
     return len(basis)
+
+
+def exact_determinant(mat: list[list[int]]) -> int:
+    """det of a square integer matrix by fraction-free elimination (Bareiss, 1968).
+
+    After step k the rows below k hold (k+1) x (k+1) minors, so each division
+    by the previous pivot is exact.
+    """
+    m = [list(row) for row in mat]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        p, top = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(x * p - row[k] * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    return sign * prev

@@ -24,15 +24,16 @@ class LinkEntry:
         return [list(r) for r in self.seifert]
 
 
-def _parse(data: dict) -> list[LinkEntry]:
+def parse(data, source: str | Path) -> list[LinkEntry]:
+    """The link table in JSON data read from source; a ValueError names the source."""
     if not (isinstance(data, dict) and data.get("schema") == "quatbraid-link-table-v1"
             and isinstance(data.get("links"), list)):
-        raise ValueError("unrecognized link-table schema")
+        raise ValueError(f"{source}: unrecognized link-table schema")
     entries = []
     for index, raw in enumerate(data["links"]):
         if not isinstance(raw, dict):
-            raise ValueError(f"link entry {index} is not an object")
-        where = f"link entry {index}" + (f" ({raw['name']!r})" if "name" in raw else "")
+            raise ValueError(f"{source}: link entry {index} is not an object")
+        where = f"{source}: link entry {index}" + (f" ({raw['name']!r})" if "name" in raw else "")
         missing = [key for key in ("name", "strands", "word") if key not in raw]
         if missing:
             raise ValueError(f"{where} lacks {', '.join(map(repr, missing))}")
@@ -43,27 +44,20 @@ def _parse(data: dict) -> list[LinkEntry]:
                 check_matrix(seifert)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from None
-        entries.append(
-            LinkEntry(
-                name=raw["name"],
-                braid=braid,
-                seifert=None if seifert is None else tuple(tuple(r) for r in seifert),
-            )
-        )
+        rows = None if seifert is None else tuple(tuple(r) for r in seifert)
+        entries.append(LinkEntry(raw["name"], braid, rows))
     return entries
 
 
 def load_bundled() -> list[LinkEntry]:
     text = resources.files("quatbraid").joinpath("data/links.json").read_text()
-    return _parse(json.loads(text))
+    return parse(json.loads(text), "data/links.json")
 
 
 def load_file(path: str | Path) -> list[LinkEntry]:
     """The link table in the JSON file at path; a ValueError names the path."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"link table not found: {p}")
     try:
-        return _parse(json.loads(p.read_text()))
+        data = json.loads(Path(path).read_text())
     except ValueError as exc:
-        raise ValueError(f"{p}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    return parse(data, path)

@@ -4,9 +4,9 @@ Elements are stored on the basis {1, zeta} with the reduction zeta^2 = zeta - 1
 (minimal polynomial x^2 - x + 1).  Coefficients are exact rationals, so every
 operation in the package is exact; there is no floating point anywhere.
 
-This module also hosts the package's one exact determinant,
-`exact_determinant`, used both for the left-regular determinants of the braid
-generators and for the integer Seifert-matrix determinants in `cover`.
+Scalars are coefficients of algebra elements and results such as the
+invariant, never matrix entries: every matrix the package eliminates is
+integral and handled in `intspan`.
 """
 
 from __future__ import annotations
@@ -111,26 +111,3 @@ def qpow(k: int) -> Scalar:
     """zeta^k for any integer k, reduced mod zeta^6 = 1."""
     return _ZETA_POWERS[k % 6]
 
-
-def exact_determinant(mat: list[list[Scalar]]) -> Scalar:
-    """Gaussian elimination over Q(zeta) with exact division."""
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = ONE
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        p = m[col][col]
-        det = det * p
-        pinv = p.inverse()
-        for r in range(col + 1, size):
-            factor = m[r][col] * pinv
-            if factor.is_zero():
-                continue
-            for c in range(col, size):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det

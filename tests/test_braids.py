@@ -22,6 +22,10 @@ def test_letter_validation():
         BraidWord(3, (0,))
     with pytest.raises(ValueError):
         BraidWord(0, ())
+    # JSON gives floats and booleans; only ints are letters and strand counts
+    for strands, letters in [(2.5, (1,)), (3, (1.5, 1)), (3.0, (1,)), (True, ()), (3, (True,))]:
+        with pytest.raises(ValueError):
+            BraidWord(strands, letters)
 
 
 def test_exponent_sum():

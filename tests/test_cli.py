@@ -197,6 +197,19 @@ def test_link_table_missing_key_is_one_line_error(runner, tmp_path, command):
     assert "link entry 1 ('broken') lacks 'word'" in result.output
 
 
+@pytest.mark.parametrize("command", [["cover-dim", "--seifert"], ["suite", "--link-table"]])
+@pytest.mark.parametrize("strands,word", [(3, [1.5, 1]), (2.5, [1]), (2, [True])])
+def test_link_table_non_integer_is_one_line_error(runner, tmp_path, command, strands, word):
+    path = tmp_path / "links.json"
+    path.write_text(json.dumps({
+        "schema": "quatbraid-link-table-v1",
+        "links": [{"name": "x", "strands": strands, "word": word}],
+    }))
+    result = runner.invoke(cli, command + [str(path)])
+    _assert_one_line_error(result)
+    assert f"{path}: link entry 0 ('x'):" in result.output
+
+
 def test_suite_flags_override_config(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(

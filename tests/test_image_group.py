@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatbraid.algebra import AlgebraElement, Word, center, word_count
 from quatbraid import image_group
-from quatbraid.hecke import braid_generator, braid_generator_inverse
+from quatbraid.hecke import S_COEFF, braid_generator, braid_generator_inverse
 from quatbraid.image_group import (
     EnumerationCapExceeded,
     NotASignedWordError,
@@ -18,7 +19,7 @@ from quatbraid.image_group import (
     order_formula_estimate,
 )
 from quatbraid.intspan import t_action
-from quatbraid.scalar import ONE, ZERO, Scalar, qpow
+from quatbraid.scalar import ONE, ZERO, qpow
 
 
 def _target_sign(act, idx):
@@ -120,14 +121,15 @@ def test_corrupted_t_table_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_left_regular_matrix_matches_algebra_product(n):
-    # oracle: column w is the Q(zeta) product s_i * w, word by word
+    # oracle: S_COEFF times column w is the Q(zeta) product s_i * w, word by word
     for i in range(1, n):
         mat = left_regular_matrix(i, n)
         s = braid_generator(n, i)
         for col in range(word_count(n)):
             prod = s * AlgebraElement.from_word(Word.from_index(n, col))
             want = [prod.terms.get(Word.from_index(n, row), ZERO) for row in range(word_count(n))]
-            assert [mat[row][col] for row in range(word_count(n))] == want, (n, i, col)
+            got = [S_COEFF.scale(mat[row][col]) for row in range(word_count(n))]
+            assert got == want, (n, i, col)
 
 
 def _closure_by_compose(n):
@@ -185,6 +187,30 @@ def test_left_regular_determinant_range():
         left_regular_determinant(1, 5)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_left_regular_t_determinant_pinned(n):
+    # det T_i = 2^(4^(n-1)), so det(S_COEFF T_i) = (-1/zeta)^(4^(n-1)) = zeta^2
+    for i in range(1, n):
+        assert exact_determinant(left_regular_matrix(i, n)) == 2 ** 4 ** (n - 1)
+        assert left_regular_determinant(i, n) == qpow(2)
+
+
 def test_exact_determinant_singular():
-    mat = [[ONE, ONE], [ONE, ONE]]
-    assert exact_determinant(mat) == Scalar.of(0)
+    assert exact_determinant([[1, 1], [1, 1]]) == 0
+    assert exact_determinant([[0, 1], [1, 0]]) == -1
+    assert exact_determinant([]) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_determinant_matches_sympy(data):
+    import sympy
+
+    size = data.draw(st.integers(0, 6))
+    row = st.lists(st.integers(-5, 5), min_size=size, max_size=size)
+    mat = data.draw(st.lists(row, min_size=size, max_size=size))
+    if size and data.draw(st.booleans()):
+        mat[0][0] = 0  # the first pivot needs a row swap, or the column is zero
+    if size >= 2 and data.draw(st.booleans()):
+        mat[-1] = [sum(col) for col in zip(*mat[:-1])]  # singular: a sum of the other rows
+    assert exact_determinant(mat) == sympy.Matrix(size, size, sum(mat, [])).det()
