@@ -10,16 +10,34 @@ zeta^-2 are forced by Markov invariance: a positive (negative) stabilization
 multiplies the trace by (zeta-1)/2 (by (1-zeta)/(2 zeta)), and the product of
 those two multipliers is 1/4 while appending a crossing shifts e by one.  The
 normalization makes I(unknot) = 1.
+
+`invariant` never leaves the integers.  s_i = c T_i and s_i^-1 = c' (2 - T_i)
+with T_i = 1 + u_i + v_i + u_i v_i integral, c = zeta^2/2 and c' = zeta^4/2.
+A word with p positive and m negative letters (L = p + m, e = p - m) has
+image c^p c'^m P, P the integer product of its T_i and 2 - T_i, and the phase
+cancels: zeta^(-2e) c^p c'^m = zeta^(6m) / 2^L = 2^-L.  So
+
+    I(beta) = 2^(n-1-L) Tr(P) = 2^(n-1-L+k) t,
+
+where `intspan.t_word_trace` returns Tr(P) = 2^k t.  The product lives on the
+strands the word braids, relabelled to 1..; each further strand is a split
+unknot and contributes its factor 2 through n.  `evaluate`, the image as an
+`AlgebraElement`, is the independent Q(zeta) route the tests compare against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from quatbraid.algebra import AlgebraElement
 from quatbraid.hecke import braid_generator, braid_generator_inverse
-from quatbraid.scalar import Scalar, qpow
+from quatbraid.scalar import Scalar
+
+# The most strands a word may braid (largest minus smallest |letter|, plus 2):
+# `invariant` works on 4^(n-1)-entry vectors with ~1 MB of table per generator at 8.
+MAX_BRAIDED_STRANDS = 8
 
 
 @dataclass(frozen=True)
@@ -28,6 +46,9 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # Letters come as tuples or lists, never generators: tuple() of a
+        # generator over-allocates and leaves a block on CPython's tuple free
+        # lists each call, so memory grows over many braids.
         object.__setattr__(self, "letters", tuple(self.letters))
         if type(self.strands) is not int or self.strands < 1:
             raise ValueError(f"need a positive integer strand count, got {self.strands!r}")
@@ -40,7 +61,7 @@ class BraidWord:
         return sum(1 if a > 0 else -1 for a in self.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.strands, tuple(-a for a in reversed(self.letters)))
+        return BraidWord(self.strands, [-a for a in reversed(self.letters)])
 
     def conjugate_by(self, gamma: BraidWord) -> BraidWord:
         if gamma.strands != self.strands:
@@ -64,16 +85,27 @@ def evaluate(beta: BraidWord) -> AlgebraElement:
 
 
 def invariant(beta: BraidWord) -> Scalar:
-    e = beta.exponent_sum
-    tr = evaluate(beta).trace()
-    return tr.scale(2 ** (beta.strands - 1)) * qpow(-2 * e)
+    """I(beta) = 2^(n-1) zeta^(-2e) Tr(image of beta), exactly, over the integers."""
+    if not beta.letters:
+        return Scalar.of(2 ** (beta.strands - 1))
+    low = min(abs(a) for a in beta.letters)
+    braided = max(abs(a) for a in beta.letters) - low + 2
+    if braided > MAX_BRAIDED_STRANDS:
+        raise ValueError(
+            f"the word braids {braided} strands; the invariant supports at most {MAX_BRAIDED_STRANDS}"
+        )
+    # imported here so that `import quatbraid` does not load numpy
+    from quatbraid import intspan
+
+    shift = low - 1
+    t, k = intspan.t_word_trace(braided, [a - shift if a > 0 else a + shift for a in beta.letters])
+    return Scalar.of(t * Fraction(2) ** (beta.strands - 1 - len(beta.letters) + k))
 
 
 def random_braid(rng: random.Random, max_strands: int = 5, max_length: int = 12) -> BraidWord:
     n = rng.randint(2, max_strands)
     length = rng.randint(0, max_length)
-    letters = tuple(rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(length))
-    return BraidWord(n, letters)
+    return BraidWord(n, [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(length)])
 
 
 def markov_move_test(beta: BraidWord, trials: int = 20, seed: int = 0) -> dict:
@@ -85,8 +117,8 @@ def markov_move_test(beta: BraidWord, trials: int = 20, seed: int = 0) -> dict:
     failures = []
     for t in range(trials):
         glen = rng.randint(1, 6) if beta.strands >= 2 else 0  # one strand has no letters
-        letters = (rng.choice([-1, 1]) * rng.randint(1, beta.strands - 1) for _ in range(glen))
-        gamma = BraidWord(beta.strands, tuple(letters))
+        letters = [rng.choice([-1, 1]) * rng.randint(1, beta.strands - 1) for _ in range(glen)]
+        gamma = BraidWord(beta.strands, letters)
         conj = beta.conjugate_by(gamma)
         if invariant(conj) != base:
             failures.append({"move": "conjugation", "trial": t, "gamma": list(gamma.letters)})

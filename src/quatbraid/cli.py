@@ -45,15 +45,6 @@ def _fail(message: str) -> NoReturn:
     sys.exit(EXIT_FAIL)
 
 
-def _read_json(path: str):
-    """The parsed JSON file named on the command line."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _emit(command: str, fields: dict, json_out=None) -> None:
     """Write the report for command to the open file json_out, or to stdout."""
     report = {"schema": REPORT_SCHEMA, "command": command, **fields}
@@ -185,7 +176,7 @@ def bratteli(k, l, levels, reduced, dot_out):
 @click.option("--seifert", "seifert_path", required=True, help="JSON file with a matrix or a link table")
 def cover_dim(seifert_path):
     """Mod-2 homology dimension of the 3-fold branched cover from a Seifert matrix."""
-    data = _read_json(seifert_path)
+    data = linktable.read_json(seifert_path)
     if isinstance(data, dict) and "links" in data:
         report = {
             "entries": [
@@ -300,13 +291,16 @@ def run_suite(
 
     # Markov moves on random braids
     rng = random.Random(seed)
-    failures = 0
+    failed = []
     for _ in range(markov_braids):
         beta = random_braid(rng)
         rep = markov_move_test(beta, trials=1, seed=rng.randrange(2**30))
         if not rep["pass"]:
-            failures += 1
-    check(f"markov-moves[{markov_braids} braids]", 0, failures)
+            failed.append(rep)
+    check(f"markov-moves[{markov_braids} braids]", 0, len(failed))
+    if failed:
+        # markov_move_test(BraidWord(strands, word), trials=1, seed=seed) repeats the failure
+        checks[-1]["reproducer"] = {key: failed[0][key] for key in ("strands", "word", "seed")}
 
     # Bratteli structure
     levels = diagrams.bratteli_levels(3, 6, 7, reduced=True)
@@ -344,7 +338,7 @@ def _suite_option(flag: str, key: str):
 
 def _read_config(path: str) -> dict:
     """Suite parameters from a JSON object whose keys are run_suite's parameter names."""
-    config = _read_json(path)
+    config = linktable.read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     for key, value in config.items():

@@ -1,8 +1,10 @@
-"""The package's integer linear algebra: T_i tables, span closure, determinant.
+"""The package's integer linear algebra: T_i tables, T-word traces, span closure, determinant.
 
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
 the 4^(n-1) word indices (`t_action`), applied to row vectors by `gather`.
+`t_word_trace` multiplies 1 by one T_i or 2 - T_i per braid letter and reads
+off the identity coefficient; `braids.invariant` is built on it.
 Closing {1} under right multiplication by every T_i, one word length per round
 and one int64 matrix product per block of a round, gives the Q-rank of all
 T-words exactly.  Both factors of every elementwise multiply are below 2^31,
@@ -61,7 +63,7 @@ def gather(table: tuple[np.ndarray, np.ndarray], vecs: np.ndarray) -> np.ndarray
 
 def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
     if bound >= limit:
-        raise OverflowError(f"span closure value could reach 2^{limit.bit_length() - 1}; int64 could wrap")
+        raise OverflowError(f"an integer value could reach 2^{limit.bit_length() - 1}; int64 could wrap")
 
 
 def _magnitude(*arrays: np.ndarray) -> int:
@@ -118,6 +120,26 @@ def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np
     if not new:
         return basis, pivots
     return np.concatenate([basis, vecs[vecs.any(axis=1)]]), np.append(pivots, new)
+
+
+def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
+    """(t, k) with 2^k t the identity coefficient of the product of T_i (letter +i)
+    and 2 - T_i (letter -i), multiplied on the right starting from 1.
+
+    The vector is divided by every common factor 2 after each letter, so its
+    entries stay bounded over long words (the image group is finite).
+    """
+    vec = np.eye(1, word_count(n), Word.identity(n).index, dtype=np.int64)[0]
+    k = 0
+    for a in letters:
+        times_t = _times_t(vec, n, abs(a))
+        vec = times_t if a > 0 else 2 * vec - times_t
+        low = int(np.bitwise_or.reduce(vec))
+        twos = (low & -low).bit_length() - 1
+        if twos > 0:
+            vec >>= twos
+            k += twos
+    return int(vec[Word.identity(n).index]), k
 
 
 def t_word_rank(n: int) -> int:

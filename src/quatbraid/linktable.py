@@ -54,10 +54,14 @@ def load_bundled() -> list[LinkEntry]:
     return parse(json.loads(text), "data/links.json")
 
 
+def read_json(path: str | Path):
+    """The parsed JSON file at path; the one reader of every JSON file a command is given."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_file(path: str | Path) -> list[LinkEntry]:
     """The link table in the JSON file at path; a ValueError names the path."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return parse(data, path)
+    return parse(read_json(path), path)

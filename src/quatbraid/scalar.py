@@ -64,10 +64,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def scale(self, r) -> Scalar:
-        r = Fraction(r)
-        return Scalar(self.a * r, self.b * r)
-
     def __pow__(self, k: int) -> Scalar:
         if k < 0:
             return self.inverse() ** (-k)

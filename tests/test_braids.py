@@ -3,16 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import (
+    MAX_BRAIDED_STRANDS,
     BraidWord,
     evaluate,
     invariant,
     markov_move_test,
     random_braid,
 )
-from quatbraid.scalar import Scalar
+from quatbraid.scalar import Scalar, qpow
 
 
 def test_letter_validation():
@@ -94,3 +96,49 @@ def test_phase_magnitude_law():
         sq = val * val
         assert sq.is_rational()
         assert sq.a in (ns, -ns)
+
+
+def _algebra_invariant(beta):
+    """2^(n-1) zeta^(-2e) Tr(evaluate(beta)) in Q(zeta), the route `invariant` replaces."""
+    return Scalar.of(2 ** (beta.strands - 1)) * evaluate(beta).trace() * qpow(-2 * beta.exponent_sum)
+
+
+def _words(strands, letters, max_size):
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(lambda w: BraidWord(strands, tuple(w)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: _words(n, [s * i for i in range(1, n) for s in (1, -1)], 30)))
+def test_integer_invariant_matches_algebra(beta):
+    old = _algebra_invariant(beta)
+    # the phase zeta^(-2e) c^p c'^m cancels, so the Q(zeta) route is rational too
+    assert old.b == 0
+    assert invariant(beta) == old
+
+
+@settings(max_examples=25, deadline=None)
+@given(_words(12, [9, 10, 11, -9, -10, -11], 16))
+def test_integer_invariant_on_a_high_span(beta):
+    # the word braids strands 9..12 only; the other eight are split unknots
+    assert invariant(beta) == _algebra_invariant(beta)
+
+
+def test_untouched_strands_are_split_unknots():
+    assert invariant(BraidWord(40, (1,))) == Scalar.of(2**38)
+    assert invariant(BraidWord(40, ())) == Scalar.of(2**39)
+    assert invariant(BraidWord(12, (10, 10, 10))) == Scalar.of(-2 * 2**10)  # trefoil, ten unknots
+
+
+def test_braided_span_cap():
+    with pytest.raises(ValueError, match="braids 39 strands"):
+        invariant(BraidWord(40, (1, 38)))
+    with pytest.raises(ValueError):
+        invariant(BraidWord(MAX_BRAIDED_STRANDS + 1, (1, -MAX_BRAIDED_STRANDS)))
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_long_powers_stay_in_int64(r):
+    # s_i^6 = 1, so hundreds of letters give the invariant of r letters; the
+    # common factors 2 divided out after each letter keep the vector small
+    for letter in (1, -2):
+        assert invariant(BraidWord(3, (letter,) * (600 + r))) == invariant(BraidWord(3, (letter,) * r))

@@ -1,11 +1,15 @@
 """CLI commands, exit codes, and report determinism."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
+from quatbraid import braids
+from quatbraid.braids import BraidWord, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
+from quatbraid.scalar import ONE
 
 
 @pytest.fixture
@@ -41,6 +45,12 @@ def test_invariant(runner):
     assert report["value"] == ["-2", "0"]
 
 
+def test_invariant_many_strands(runner):
+    result = runner.invoke(cli, ["invariant", "--strands", "40", "--word", "1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["value"] == [str(2**38), "0"]
+
+
 def _assert_one_line_error(result):
     # an uncaught exception would also give exit code 1 under CliRunner
     assert result.exit_code == 1
@@ -65,6 +75,7 @@ def test_invariant_bad_letter(runner):
         ["invariant", "--strands", "3", "--word", "1 x 2"],
         ["invariant", "--strands", "3", "--word", "1 -3"],
         ["invariant", "--strands", "0", "--word", ""],
+        ["invariant", "--strands", "40", "--word", "1 39"],
         ["bratteli", "--levels", "0"],
         ["bratteli", "--k", "6", "--l", "6"],
         ["bratteli", "--k", "0", "--levels", "3"],
@@ -210,6 +221,17 @@ def test_link_table_non_integer_is_one_line_error(runner, tmp_path, command, str
     assert f"{path}: link entry 0 ('x'):" in result.output
 
 
+@pytest.mark.parametrize(
+    "command", [["cover-dim", "--seifert"], ["suite", "--config"], ["suite", "--link-table"]]
+)
+def test_malformed_json_has_one_wording(runner, tmp_path, command):
+    path = tmp_path / "input.json"
+    path.write_text("{not json")
+    result = runner.invoke(cli, command + [str(path)])
+    _assert_one_line_error(result)
+    assert result.output.startswith(f"error: {path} is not valid JSON: Expecting property name")
+
+
 def test_suite_flags_override_config(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
@@ -296,3 +318,23 @@ def test_suite_small_passes_and_exits_zero(runner, tmp_path):
     report = json.loads(out.read_text())
     assert report["pass"]
     assert all("name" in e and "expected" in e for e in report["checks"])
+
+
+def test_markov_failure_carries_reproducer(monkeypatch):
+    kwargs = dict(seed=5, relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=3)
+    passing = next(c for c in run_suite(**kwargs)["checks"] if c["name"].startswith("markov-moves"))
+    assert passing["pass"] and "reproducer" not in passing
+
+    # run_suite draws each braid, then its per-braid seed, from one generator
+    rng = random.Random(kwargs["seed"])
+    drawn = [(random_braid(rng), rng.randrange(2**30)) for _ in range(kwargs["markov_braids"])]
+    beta, braid_seed = drawn[1]
+    broken = beta.stabilize(1)
+    real = braids.invariant
+    monkeypatch.setattr(braids, "invariant", lambda b: real(b) + ONE if b == broken else real(b))
+
+    check = next(c for c in run_suite(**kwargs)["checks"] if c["name"].startswith("markov-moves"))
+    assert not check["pass"] and check["actual"] == 1
+    assert check["reproducer"] == {"strands": beta.strands, "word": list(beta.letters), "seed": braid_seed}
+    rep = check["reproducer"]
+    assert not markov_move_test(BraidWord(rep["strands"], tuple(rep["word"])), trials=1, seed=rep["seed"])["pass"]

@@ -19,7 +19,7 @@ from quatbraid.image_group import (
     order_formula_estimate,
 )
 from quatbraid.intspan import t_action
-from quatbraid.scalar import ONE, ZERO, qpow
+from quatbraid.scalar import ONE, ZERO, Scalar, qpow
 
 
 def _target_sign(act, idx):
@@ -128,7 +128,7 @@ def test_left_regular_matrix_matches_algebra_product(n):
         for col in range(word_count(n)):
             prod = s * AlgebraElement.from_word(Word.from_index(n, col))
             want = [prod.terms.get(Word.from_index(n, row), ZERO) for row in range(word_count(n))]
-            got = [S_COEFF.scale(mat[row][col]) for row in range(word_count(n))]
+            got = [S_COEFF * Scalar.of(mat[row][col]) for row in range(word_count(n))]
             assert got == want, (n, i, col)
 
 
