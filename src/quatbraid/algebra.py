@@ -8,8 +8,9 @@ Defining relations:
     u_i u_j =  u_j u_i,   v_i v_j = v_j v_i
 
 Every monomial has the normal form +/- u_1^e1 .. u_{n-1}^e{n-1} v_1^n1 .. v_{n-1}^n{n-1},
-so a basis word is a pair of (n-1)-bit masks and the whole word product reduces
-to bit operations: the exponent masks XOR and the sign is (-1)^(A+B+C) with
+so a basis word is a pair of (n-1)-bit masks (eps, nu), at index eps 2^(n-1) + nu.
+A product XORs the masks, hence the indices, and its sign is (-1)^(A+B+C)
+(`sign_bits`, on masks or on mask arrays) with
 
     A = #{(i,j) : |i-j| <= 1, v_i in left factor, u_j in right factor}
     B = #{i : u_i in both factors}          (u_i^2 = -1)
@@ -20,6 +21,7 @@ to bit operations: the exponent masks XOR and the sign is (-1)^(A+B+C) with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from quatbraid import gf2
@@ -46,8 +48,7 @@ class Word:
 
     @staticmethod
     def from_index(n: int, idx: int) -> Word:
-        mask = (1 << (n - 1)) - 1
-        return Word(n, (idx >> (n - 1)) & mask, idx & mask)
+        return Word(n, *index_masks(n, idx))
 
     @staticmethod
     def identity(n: int) -> Word:
@@ -73,23 +74,36 @@ def word_count(n: int) -> int:
     return 1 << (2 * n - 2)
 
 
-def _window(bits: int, n: int) -> int:
-    """Bit i set iff bits has an odd number of entries among {i-1, i, i+1}."""
+def index_masks(n: int, idx):
+    """(eps, nu) of the word at index idx; idx is an int or an integer array."""
     mask = (1 << (n - 1)) - 1
-    return ((bits << 1) ^ bits ^ (bits >> 1)) & mask
+    return (idx >> (n - 1)) & mask, idx & mask
+
+
+@functools.lru_cache(maxsize=None)
+def quad_words(n: int, i: int) -> tuple[Word, Word, Word, Word]:
+    """The four words 1, u_i, v_i, u_i v_i of T_i = 1 + u_i + v_i + u_i v_i."""
+    bit = 1 << (i - 1)
+    return Word(n, 0, 0), Word(n, bit, 0), Word(n, 0, bit), Word(n, bit, bit)
+
+
+def _window(bits):
+    """Bit i set iff bits has an odd number of entries among {i-1, i, i+1}."""
+    return (bits << 1) ^ bits ^ (bits >> 1)
+
+
+def sign_bits(eps1, nu1, eps2, nu2):
+    """The bits of A, B and C above, whose count is odd exactly when word 1 times
+    word 2 has sign -1; on ints, or elementwise on integer arrays."""
+    return (nu1 & _window(eps2)) ^ (eps1 & eps2) ^ (nu1 & nu2)
 
 
 def mul_words(w1: Word, w2: Word) -> tuple[int, Word]:
     """Product of two basis words: (+1 or -1, normal-form word)."""
     if w1.n != w2.n:
         raise ValueError(f"strand mismatch: {w1.n} != {w2.n}")
-    n = w1.n
-    # v's of w1 move right past u's of w2; each close pair anticommutes.
-    a = (w1.nu & _window(w2.eps, n)).bit_count()
-    b = (w1.eps & w2.eps).bit_count()
-    c = (w1.nu & w2.nu).bit_count()
-    sign = -1 if (a + b + c) & 1 else 1
-    return sign, Word(n, w1.eps ^ w2.eps, w1.nu ^ w2.nu)
+    odd = sign_bits(w1.eps, w1.nu, w2.eps, w2.nu).bit_count() & 1
+    return -1 if odd else 1, Word(w1.n, w1.eps ^ w2.eps, w1.nu ^ w2.nu)
 
 
 def words_commute(w1: Word, w2: Word) -> bool:
@@ -200,7 +214,7 @@ def _central_masks(n: int) -> list[int]:
     three-term windows.
     """
     m = n - 1
-    rows = [_window(1 << j, n) for j in range(m)]
+    rows = [_window(1 << j) & ((1 << m) - 1) for j in range(m)]
     basis = gf2.nullspace(rows, m)
     sols = [0]
     for vec in basis:

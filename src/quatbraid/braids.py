@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from quatbraid import intspan
 from quatbraid.algebra import AlgebraElement
 from quatbraid.hecke import braid_generator, braid_generator_inverse
 from quatbraid.scalar import Scalar
@@ -84,20 +85,20 @@ def evaluate(beta: BraidWord) -> AlgebraElement:
     return out
 
 
-def invariant(beta: BraidWord) -> Scalar:
-    """I(beta) = 2^(n-1) zeta^(-2e) Tr(image of beta), exactly, over the integers."""
-    if not beta.letters:
-        return Scalar.of(2 ** (beta.strands - 1))
-    low = min(abs(a) for a in beta.letters)
-    braided = max(abs(a) for a in beta.letters) - low + 2
+def braided_span(beta: BraidWord) -> tuple[int, int]:
+    """(shift, braided): with each |letter| less shift, the word braids strands 1..braided."""
+    low = min((abs(a) for a in beta.letters), default=1)
+    braided = max((abs(a) for a in beta.letters), default=0) - low + 2
     if braided > MAX_BRAIDED_STRANDS:
         raise ValueError(
             f"the word braids {braided} strands; the invariant supports at most {MAX_BRAIDED_STRANDS}"
         )
-    # imported here so that `import quatbraid` does not load numpy
-    from quatbraid import intspan
+    return low - 1, braided
 
-    shift = low - 1
+
+def invariant(beta: BraidWord) -> Scalar:
+    """I(beta) = 2^(n-1) zeta^(-2e) Tr(image of beta), exactly, over the integers."""
+    shift, braided = braided_span(beta)
     t, k = intspan.t_word_trace(braided, [a - shift if a > 0 else a + shift for a in beta.letters])
     return Scalar.of(t * Fraction(2) ** (beta.strands - 1 - len(beta.letters) + k))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import os
 import random
 import sys
 import time
@@ -19,24 +18,13 @@ from typing import NoReturn
 import click
 
 from quatbraid import algebra, cover, diagrams, hecke, image_group, linktable
-from quatbraid.braids import BraidWord, invariant, markov_move_test, random_braid
+from quatbraid.braids import BraidWord, braided_span, invariant, markov_move_test, random_braid
 
 REPORT_SCHEMA = "quatbraid-report-v1"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
-
-
-def _max_group_elements(default: int = 2_000_000) -> int:
-    raw = os.environ.get("QUATBRAID_MAX_GROUP_ELEMENTS", str(default))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"QUATBRAID_MAX_GROUP_ELEMENTS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _fail(message: str) -> NoReturn:
@@ -128,12 +116,12 @@ def invariant_cmd(strands, word_str):
 
 @cli.command()
 @click.option("--n", required=True, type=int)
-@click.option("--max", "max_elements", default=None, type=int, help="element cap for the BFS")
+@click.option("--max", "max_elements", default=image_group.MAX_ELEMENTS, show_default=True,
+              help="element cap for the BFS")
 def group(n, max_elements):
     """Enumerate the signed-permutation image of the braid generators."""
-    cap = max_elements if max_elements is not None else _max_group_elements()
     try:
-        result = image_group.enumerate_group(n, cap)
+        result = image_group.enumerate_group(n, max_elements)
     except image_group.EnumerationCapExceeded as exc:
         _emit("group", {"n": n, "conclusive": False, "cap": exc.cap, "partialElements": exc.partial})
         sys.exit(EXIT_INCONCLUSIVE)
@@ -197,7 +185,7 @@ def run_suite(
     dim_n_max: int = 5,
     group_n_max: int = 5,
     markov_braids: int = 500,
-    max_group_elements: int | None = None,
+    max_group_elements: int = image_group.MAX_ELEMENTS,
     link_table_path: str | None = None,
 ) -> dict:
     """Full verification battery; returns the report dict.
@@ -213,10 +201,15 @@ def run_suite(
         raise ValueError(f"group_n_max must be at most 5, got {group_n_max}")
     if markov_braids < 0:
         raise ValueError(f"markov_braids must not be negative, got {markov_braids}")
-    if max_group_elements is not None and max_group_elements < 1:
+    if max_group_elements < 1:
         raise ValueError(f"max_group_elements must be a positive integer, got {max_group_elements}")
-    cap = max_group_elements if max_group_elements is not None else _max_group_elements()
     links = linktable.load_file(link_table_path) if link_table_path else linktable.load_bundled()
+    for index, entry in enumerate(links):
+        try:
+            braided_span(entry.braid)
+        except ValueError as exc:
+            source = link_table_path or "data/links.json"
+            raise ValueError(f"{source}: link entry {index} ({entry.name!r}): {exc}") from None
     t0 = time.perf_counter()
     checks: list[dict] = []
     inconclusive = False
@@ -253,7 +246,7 @@ def run_suite(
     # group enumeration
     for n in range(2, group_n_max + 1):
         try:
-            res = image_group.enumerate_group(n, cap)
+            res = image_group.enumerate_group(n, max_group_elements)
         except image_group.EnumerationCapExceeded as exc:
             checks.append(
                 {
@@ -318,7 +311,7 @@ def run_suite(
             "dimNMax": dim_n_max,
             "groupNMax": group_n_max,
             "markovBraids": markov_braids,
-            "maxGroupElements": cap,
+            "maxGroupElements": max_group_elements,
         },
         "pass": ok,
         "inconclusive": inconclusive,

@@ -16,10 +16,11 @@ their Q-rank.
 
 from __future__ import annotations
 
-import functools
+import random
 from fractions import Fraction
 
-from quatbraid.algebra import AlgebraElement, Word
+from quatbraid import intspan
+from quatbraid.algebra import AlgebraElement, Word, quad_words
 from quatbraid.scalar import ONE, Scalar, ZETA
 
 # s_i = S_COEFF T_i and s_i^-1 = _SINV_COEFF (1 - u_i - v_i - u_i v_i), with
@@ -28,13 +29,6 @@ S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
 # random linear combinations checked by verify_markov, and their seed
 _MARKOV_EXTRA_RANDOM, _MARKOV_SEED = 25, 7
-
-
-@functools.lru_cache(maxsize=None)
-def quad_words(n: int, i: int) -> tuple[Word, Word, Word, Word]:
-    """The four words 1, u_i, v_i, u_i v_i of T_i = 1 + u_i + v_i + u_i v_i."""
-    bit = 1 << (i - 1)
-    return Word(n, 0, 0), Word(n, bit, 0), Word(n, 0, bit), Word(n, bit, bit)
 
 
 def _quad_span(n: int, i: int, coeff: Scalar, signs: tuple[int, int, int, int]) -> AlgebraElement:
@@ -151,8 +145,6 @@ def verify_markov(n: int) -> list[dict]:
     The spanning set is every word in the first n-2 positions; a few random
     linear combinations are thrown in on top.
     """
-    import random
-
     if n < 3:
         raise ValueError("need n >= 3")
     f_last = idempotent(n, n - 1)
@@ -216,7 +208,4 @@ def subalgebra_dimension(n: int) -> int:
     """
     if not 2 <= n <= 6:
         raise ValueError("supported range is 2 <= n <= 6")
-    # imported here so that `import quatbraid` does not load numpy
-    from quatbraid import intspan
-
     return intspan.t_word_rank(n)

@@ -91,19 +91,15 @@ class SignedPermutation:
 def conjugation_action(i: int, n: int) -> SignedPermutation:
     """Signed permutation w -> s_i^-1 w s_i on the word basis.
 
-    s_i = c T_i and s_i^-1 = c' T'_i with T_i = 1 + u_i + v_i + u_i v_i,
-    T'_i = 1 - u_i - v_i - u_i v_i and c c' = 1/4, so the conjugate is
-    (1/4) T'_i w T_i.  Gathering the rows of the integer identity matrix
-    through the right T_i table and then the left T'_i table gives T'_i w T_i
-    for every word w at once, one row each; each row must be a single word
-    with coefficient +-4.
+    s_i = c T_i and s_i^-1 = c' (2 - T_i) with T_i = 1 + u_i + v_i + u_i v_i
+    and c c' = 1/4, so the conjugate is (1/4)(2 - T_i) w T_i.  Gathering the
+    rows of the integer identity matrix through the right T_i table gives
+    X = w T_i for every word w at once, one row each, and 2X - T_i X the
+    conjugates times 4; each row must be a single word with coefficient +-4.
     """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
     size = word_count(n)
-    sources, signs = t_action(n, i, left=True)
-    t_prime = (sources, signs * np.array([1, -1, -1, -1])[:, None])
-    conj = gather(t_prime, gather(t_action(n, i), np.eye(size, dtype=np.int64)))
+    right = gather(t_action(n, i), np.eye(size, dtype=np.int64))
+    conj = 2 * right - gather(t_action(n, i, left=True), right)
     terms = np.count_nonzero(conj, axis=1)
     target = np.abs(conj).argmax(axis=1)
     coeff = conj[np.arange(size), target]
@@ -115,6 +111,10 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
             raise NotASignedWordError(f"conjugate of {w} has {terms[idx]} terms")
         raise NotASignedWordError(f"conjugate of {w} has coefficient {coeff[idx]}/4")
     return SignedPermutation(n, (2 * target + (coeff < 0)).astype(np.uint16))
+
+
+# The default cap on the elements a group enumeration may find.
+MAX_ELEMENTS = 2_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -164,8 +164,6 @@ def _bfs_levels(gens: list[SignedPermutation], base: np.ndarray, cap: int) -> It
     last_keys = keys[:0]
     found = 1
     while True:
-        if found > cap:
-            raise EnumerationCapExceeded(cap, cap + 1)
         yield level
         candidates = np.concatenate([_after(t, keys) for t in tables])
         known = len(last_keys) + len(keys)
@@ -173,6 +171,8 @@ def _bfs_levels(gens: list[SignedPermutation], base: np.ndarray, cap: int) -> It
         if not fresh.size:
             return
         found += len(fresh)
+        if found > cap:
+            raise EnumerationCapExceeded(cap, cap + 1)
         gen, parent = np.divmod(fresh, len(level))
         level = np.concatenate([_after(t, level[parent[gen == g]]) for g, t in enumerate(tables)])
         last_keys, keys = keys, level[:, base]
@@ -195,7 +195,7 @@ def _central_count(rows: np.ndarray, actions: list[np.ndarray], base: np.ndarray
     return int(hit.sum())
 
 
-def enumerate_group(n: int, max_elements: int = 2_000_000) -> dict:
+def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
     """BFS closure of the conjugation image; order, projective order, diagnostics.
 
     The projective order divides out the center of the enumerated permutation

@@ -2,7 +2,8 @@
 
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
-the 4^(n-1) word indices (`t_action`), applied to row vectors by `gather`.
+the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
+algebra's sign rule), applied to row vectors by `gather`.
 `t_word_trace` multiplies 1 by one T_i or 2 - T_i per braid letter and reads
 off the identity coefficient; `braids.invariant` is built on it.
 Closing {1} under right multiplication by every T_i, one word length per round
@@ -24,8 +25,7 @@ import math
 
 import numpy as np
 
-from quatbraid.algebra import Word, mul_words, word_count
-from quatbraid.hecke import quad_words
+from quatbraid.algebra import Word, index_masks, quad_words, sign_bits, word_count
 
 # entry and matrix product bounds; int64 holds the difference of two products
 _ENTRY_LIMIT, _PRODUCT_LIMIT = 1 << 31, 1 << 62
@@ -37,19 +37,18 @@ _BLOCK_ROWS = 16
 def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Multiplication by T_i = 1 + u_i + v_i + u_i v_i as four signed gathers.
 
-    Returns (sources, signs), each of shape (4, 4^(n-1)), with
+    Returns read-only (sources, signs), each of shape (4, 4^(n-1)), with
     (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]] on word indices,
-    or (T_i vec)[y] when left is true.
+    or (T_i vec)[y] when left is true.  A product XORs indices, so the k-th
+    word t sends source y ^ t.index to y.
     """
-    size = word_count(n)
-    sources = np.empty((4, size), dtype=np.intp)
-    signs = np.empty((4, size), dtype=np.int64)
-    for k, t in enumerate(quad_words(n, i)):
-        for x in range(size):
-            w = Word.from_index(n, x)
-            sign, y = mul_words(t, w) if left else mul_words(w, t)
-            sources[k, y.index] = x
-            signs[k, y.index] = sign
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for n={n}")
+    quad = np.array([[t.index] for t in quad_words(n, i)])
+    sources = np.arange(word_count(n)) ^ quad
+    (eps, nu), (t_eps, t_nu) = index_masks(n, sources), index_masks(n, quad)
+    odd = sign_bits(t_eps, t_nu, eps, nu) if left else sign_bits(eps, nu, t_eps, t_nu)
+    signs = np.where(np.bitwise_count(odd) & 1, -1, 1)
     # every caller shares the cached arrays
     sources.flags.writeable = signs.flags.writeable = False
     return sources, signs
@@ -58,7 +57,7 @@ def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
 def gather(table: tuple[np.ndarray, np.ndarray], vecs: np.ndarray) -> np.ndarray:
     """A `t_action` table applied to integer coefficient vectors, one per row."""
     sources, signs = table
-    return sum(signs[k] * vecs[..., sources[k]] for k in range(4))
+    return (signs * vecs[..., sources]).sum(axis=-2)
 
 
 def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:

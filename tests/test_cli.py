@@ -72,6 +72,7 @@ def test_invariant_bad_letter(runner):
         ["center", "--n", "1"],
         ["group", "--n", "6"],
         ["group", "--n", "3", "--max", "0"],
+        ["group", "--n", "3", "--max", "abc"],
         ["invariant", "--strands", "3", "--word", "1 x 2"],
         ["invariant", "--strands", "3", "--word", "1 -3"],
         ["invariant", "--strands", "0", "--word", ""],
@@ -134,15 +135,6 @@ def test_unwritable_suite_report_fails_before_any_work(runner, monkeypatch, tmp_
     result = runner.invoke(cli, ["suite", "--json-out", str(tmp_path / "missing" / "report.json")])
     _assert_one_line_error(result)
     assert "report.json" in result.output
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_bad_group_cap_variable(value):
-    runner = CliRunner(env={"QUATBRAID_MAX_GROUP_ELEMENTS": value})
-    for args in (["group", "--n", "3"], ["suite", "--group-n-max", "2"]):
-        result = runner.invoke(cli, args)
-        _assert_one_line_error(result)
-        assert "QUATBRAID_MAX_GROUP_ELEMENTS" in result.output
 
 
 def test_group(runner):
@@ -219,6 +211,21 @@ def test_link_table_non_integer_is_one_line_error(runner, tmp_path, command, str
     result = runner.invoke(cli, command + [str(path)])
     _assert_one_line_error(result)
     assert f"{path}: link entry 0 ('x'):" in result.output
+
+
+def test_link_table_braiding_too_many_strands_fails_before_any_check(runner, monkeypatch, tmp_path):
+    def no_work(n):
+        raise AssertionError("a check ran before the link table was checked")
+
+    monkeypatch.setattr("quatbraid.hecke.verify_relations", no_work)
+    path = tmp_path / "links.json"
+    path.write_text(json.dumps({
+        "schema": "quatbraid-link-table-v1",
+        "links": [{"name": "unknot", "strands": 2, "word": [1]}, {"name": "wide", "strands": 9, "word": [1, 8]}],
+    }))
+    result = runner.invoke(cli, ["suite", "--link-table", str(path)])
+    _assert_one_line_error(result)
+    assert f"{path}: link entry 1 ('wide'): the word braids 9 strands" in result.output
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Braid generators, their relations, the Markov property, and span closure."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatbraid.algebra import AlgebraElement, Word, mul_words, word_count
+from quatbraid.algebra import AlgebraElement, Word, mul_words, quad_words, word_count
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     S_COEFF,
@@ -19,7 +20,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import _insert, _reduce, _times_t, t_word_rank
+from quatbraid.intspan import _insert, _reduce, _times_t, t_action, t_word_rank
 from quatbraid.scalar import ONE, Scalar, ZETA
 
 
@@ -168,6 +169,26 @@ def test_integer_t_action_matches_sign_algebra(data):
     for vec, prod in zip(matrix, products):
         assert element(_times_t(vec, n, i)) == element(prod)
         assert element(prod) == (element(vec) * braid_generator(n, i)).scale(S_COEFF.inverse())
+
+
+@pytest.mark.parametrize("n, samples", [(6, None), (7, 300), (8, 300)])
+def test_t_action_matches_word_products(n, samples):
+    # reference: one mul_words call per table entry, every i and both sides;
+    # every source word at n = 6, a sample of them at n = 7 and 8
+    rng = random.Random(n)
+    sources_x = range(word_count(n)) if samples is None else rng.sample(range(word_count(n)), samples)
+    for left in (False, True):
+        for i in (0, n):
+            with pytest.raises(ValueError, match="out of range"):
+                t_action(n, i, left)
+        for i in range(1, n):
+            sources, signs = t_action(n, i, left)
+            assert not sources.flags.writeable and not signs.flags.writeable
+            for k, t in enumerate(quad_words(n, i)):
+                for x in sources_x:
+                    w = Word.from_index(n, x)
+                    sign, y = mul_words(t, w) if left else mul_words(w, t)
+                    assert (sources[k, y.index], signs[k, y.index]) == (x, sign), (n, i, left, k, x)
 
 
 def test_reduce_with_non_unit_pivots():

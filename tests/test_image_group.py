@@ -158,6 +158,24 @@ def test_enumeration_cap():
     assert (info.value.cap, info.value.partial) == (100, 101)
 
 
+@pytest.mark.parametrize("n, cap", [(3, 1), (4, 100), (5, 1000)])
+def test_cap_stops_before_full_rows_of_the_over_cap_level(monkeypatch, n, cap):
+    # full rows (one code per word) are gathered per level; the level that
+    # passes the cap must raise before any of its rows are built
+    full_rows = []
+    after = image_group._after
+
+    def spy(table, codes):
+        if codes.ndim == 2 and codes.shape[1] == word_count(n):
+            full_rows.append(len(codes))
+        return after(table, codes)
+
+    monkeypatch.setattr(image_group, "_after", spy)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_group(n, max_elements=cap)
+    assert sum(full_rows) < cap
+
+
 def test_enumerate_range_check():
     with pytest.raises(ValueError):
         enumerate_group(6)
