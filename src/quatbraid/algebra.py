@@ -48,6 +48,8 @@ class Word:
 
     @staticmethod
     def from_index(n: int, idx: int) -> Word:
+        if not 0 <= idx < word_count(n):
+            raise ValueError(f"word index {idx} out of range for n={n}")
         return Word(n, *index_masks(n, idx))
 
     @staticmethod
@@ -126,16 +128,8 @@ class AlgebraElement:
                     self.terms[w] = c
 
     @staticmethod
-    def zero(n: int) -> AlgebraElement:
-        return AlgebraElement(n)
-
-    @staticmethod
     def one(n: int) -> AlgebraElement:
         return AlgebraElement(n, {Word.identity(n): ONE})
-
-    @staticmethod
-    def from_word(w: Word, coeff: Scalar = ONE) -> AlgebraElement:
-        return AlgebraElement(w.n, {w: coeff})
 
     @staticmethod
     def scalar(n: int, c: Scalar) -> AlgebraElement:

@@ -12,13 +12,13 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import NoReturn
 
 import click
 
 from quatbraid import algebra, cover, diagrams, hecke, image_group, linktable
-from quatbraid.braids import BraidWord, braided_span, invariant, markov_move_test, random_braid
+from quatbraid.braids import BraidWord, braided_span, evaluate, invariant, markov_move_test, random_braid
+from quatbraid.scalar import Scalar, qpow
 
 REPORT_SCHEMA = "quatbraid-report-v1"
 
@@ -195,10 +195,10 @@ def run_suite(
     """
     if relation_n_max < 3:
         raise ValueError(f"relation_n_max must be at least 3 (relations need three strands), got {relation_n_max}")
-    if dim_n_max > 6:
-        raise ValueError(f"dim_n_max must be at most 6, got {dim_n_max}")
-    if group_n_max > 5:
-        raise ValueError(f"group_n_max must be at most 5, got {group_n_max}")
+    if dim_n_max > hecke.MAX_DIMENSION_N:
+        raise ValueError(f"dim_n_max must be at most {hecke.MAX_DIMENSION_N}, got {dim_n_max}")
+    if group_n_max > image_group.MAX_N:
+        raise ValueError(f"group_n_max must be at most {image_group.MAX_N}, got {group_n_max}")
     if markov_braids < 0:
         raise ValueError(f"markov_braids must not be negative, got {markov_braids}")
     if max_group_elements < 1:
@@ -270,17 +270,15 @@ def run_suite(
             d = image_group.left_regular_determinant(i, n)
             check(f"det-sixth-root[n={n},i={i}]", ["1", "0"], (d**6).to_json())
 
-    # invariant vs branched-cover oracle
+    # invariant vs branched-cover oracle, and vs the Q(zeta) route 2^(n-1) zeta^(-2e) Tr(image)
     for entry in links:
-        val = invariant(entry.braid)
+        beta = entry.braid
+        val = invariant(beta)
         if entry.seifert is not None:
-            want = Fraction(2 ** cover.triple_cover_dim(entry.seifert_rows))
+            want = 2 ** cover.triple_cover_dim(entry.seifert_rows)
             check(f"invariant-magnitude[{entry.name}]", str(want), str(val.norm_sq()))
-        sq = val * val
-        phase_ok = sq.is_rational() and (
-            sq.a == val.norm_sq() or sq.a == -val.norm_sq()
-        )
-        check(f"invariant-phase[{entry.name}]", True, phase_ok)
+        image = Scalar.of(2 ** (beta.strands - 1)) * qpow(-2 * beta.exponent_sum) * evaluate(beta).trace()
+        check(f"invariant-phase[{entry.name}]", True, val == image)
 
     # Markov moves on random braids
     rng = random.Random(seed)

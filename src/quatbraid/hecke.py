@@ -2,26 +2,30 @@
 
 The generator attached to position i is
 
-    s_i = (-1/(2 zeta)) (1 + u_i + v_i + u_i v_i)
+    s_i = (-1/(2 zeta)) (1 + u_i + v_i + u_i v_i) = (zeta^2/2) T_i
 
-with inverse (-zeta/2)(1 - u_i - v_i - u_i v_i) and associated idempotent
-f_i = (zeta - s_i)/(1 + zeta).  This module verifies the braid and quadratic
-relations, the conjugation table of s_1 on nearby generators, the Markov
-property of the trace, and computes the dimension of the unital subalgebra
-generated by the s_i via exact span closure over the integers: s_i is the
-unit -1/(2 zeta) times T_i = 1 + u_i + v_i + u_i v_i, which has integer
-coefficients, and the Q(zeta)-dimension of a span of rational vectors is
-their Q-rank.
+with inverse (zeta^4/2)(2 - T_i) and idempotent f_i = (zeta - s_i)/(1 + zeta),
+built here over Q(zeta) as the tests' reference.  The checks of the braid,
+quadratic and idempotent relations, of the conjugation table of s_1 and of the
+Markov property take each relation times a constant, so that only 2 s_i,
+2 s_i^-1 and F_i = 2(1 + zeta) f_i = 2 zeta - 2 s_i occur.  They apply the
+integer T_i tables of `intspan` to Z[zeta] vectors: int64 arrays v of shape
+(2, 4^(n-1)) holding v[0] + zeta v[1] on the word basis.  The dimension of the
+subalgebra the s_i generate comes from exact span closure over the integers:
+the Q(zeta)-dimension of a span of rational vectors is their Q-rank.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from quatbraid import intspan
-from quatbraid.algebra import AlgebraElement, Word, quad_words
-from quatbraid.scalar import ONE, Scalar, ZETA
+from quatbraid.algebra import AlgebraElement, Word, quad_words, word_count
+from quatbraid.scalar import ONE, Scalar, ZETA, times_zeta
 
 # s_i = S_COEFF T_i and s_i^-1 = _SINV_COEFF (1 - u_i - v_i - u_i v_i), with
 # S_COEFF = -1/(2 zeta) = (zeta - 1)/2 and _SINV_COEFF = -zeta/2
@@ -29,6 +33,7 @@ S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
 # random linear combinations checked by verify_markov, and their seed
 _MARKOV_EXTRA_RANDOM, _MARKOV_SEED = 25, 7
+MAX_DIMENSION_N = 6  # the largest n subalgebra_dimension supports
 
 
 def _quad_span(n: int, i: int, coeff: Scalar, signs: tuple[int, int, int, int]) -> AlgebraElement:
@@ -56,7 +61,28 @@ def idempotent(n: int, i: int) -> AlgebraElement:
     return num.scale((ONE + q).inverse())
 
 
-def _entry(relation: str, indices, ok: bool) -> dict:
+# --- the checks, on Z[zeta] vectors ------------------------------------------
+
+def _zeta(v, k: int = 1):
+    """zeta^k v, by the one rule `times_zeta`."""
+    for _ in range(k):
+        v = np.array(times_zeta(*v))
+    return v
+
+
+def _generators(n: int, i: int, left: bool = False):
+    """The maps v -> v (2 s_i), v (2 s_i^-1), v F_i, or the products on the left when left is true."""
+    t = functools.partial(intspan.gather, intspan.t_action(n, i, left))
+    return (lambda v: _zeta(t(v), 2), lambda v: _zeta(2 * v - t(v), 4),
+            lambda v: 2 * _zeta(v) - _zeta(t(v), 2))
+
+
+def _word(n: int, index: int = 0):
+    """The basis word at index as a vector; index 0 is the unit 1."""
+    return np.eye(1, word_count(n), index, dtype=np.int64) * [[1], [0]]
+
+
+def _entry(relation: str, indices, ok) -> dict:
     return {"relation": relation, "indices": list(indices), "pass": bool(ok)}
 
 
@@ -64,72 +90,60 @@ def verify_relations(n: int) -> list[dict]:
     """Check the braid, quadratic and idempotent relations exactly.
 
     Returns one report entry per relation instance; failures are entries with
-    pass=False, never exceptions.
+    pass=False, never exceptions.  Scaled by 8: B1, B2, cube; by 4: E1, inverse;
+    by 4(1+zeta)^2: H1; by 8(1+zeta)^3: H3, where f_i has coefficient zeta/(1+zeta)^2.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    gens = range(1, n)
-    s = [braid_generator(n, i) for i in gens]
-    s_inv = [braid_generator_inverse(n, i) for i in gens]
-    f = [idempotent(n, i) for i in gens]
-    q = ZETA
-    one = AlgebraElement.one(n)
-    zero = AlgebraElement.zero(n)
+    s, s_inv, f = zip(*(_generators(n, i) for i in range(1, n)))
+    one, far = _word(n), [(i, j) for i in range(n - 1) for j in range(i + 2, n - 1)]
     report = []
 
-    for i in range(n - 2):
-        lhs = s[i] * s[i + 1] * s[i]
-        rhs = s[i + 1] * s[i] * s[i + 1]
-        report.append(_entry("B1", (i + 1,), lhs == rhs))
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            report.append(_entry("B2", (i + 1, j + 1), s[i] * s[j] == s[j] * s[i]))
-    for i in range(n - 1):
-        quad = (s[i] - AlgebraElement.scalar(n, q)) * (s[i] + one)
-        report.append(_entry("E1", (i + 1,), quad == zero))
-        report.append(_entry("inverse", (i + 1,), s[i] * s_inv[i] == one))
-        cube = s[i] * s[i] * s[i]
-        report.append(_entry("cube=-1", (i + 1,), cube == -one))
+    def prod(*factors):
+        return functools.reduce(lambda v, g: g(v), factors, one)
 
-    for i in range(n - 1):
-        report.append(_entry("H1", (i + 1,), f[i] * f[i] == f[i]))
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            report.append(_entry("H2", (i + 1, j + 1), f[i] * f[j] == f[j] * f[i]))
-    coeff = q / ((ONE + q) * (ONE + q))
+    def check(relation, indices, lhs, rhs):
+        report.append(_entry(relation, indices, np.array_equal(lhs, rhs)))
+
     for i in range(n - 2):
-        lhs = f[i] * f[i + 1] * f[i] - f[i].scale(coeff)
-        rhs = f[i + 1] * f[i] * f[i + 1] - f[i + 1].scale(coeff)
-        report.append(_entry("H3", (i + 1,), lhs == rhs))
+        check("B1", (i + 1,), prod(s[i], s[i + 1], s[i]), prod(s[i + 1], s[i], s[i + 1]))
+    for i, j in far:
+        check("B2", (i + 1, j + 1), prod(s[i], s[j]), prod(s[j], s[i]))
+    for i in range(n - 1):
+        quad = s[i](one) - 2 * _zeta(one)
+        check("E1", (i + 1,), s[i](quad) + 2 * quad, 0 * one)
+        check("inverse", (i + 1,), prod(s[i], s_inv[i]), 4 * one)
+        check("cube=-1", (i + 1,), prod(s[i], s[i], s[i]), -8 * one)
+    for i in range(n - 1):
+        check("H1", (i + 1,), prod(f[i], f[i]), 2 * (f[i](one) + _zeta(f[i](one))))
+    for i, j in far:
+        check("H2", (i + 1, j + 1), prod(f[i], f[j]), prod(f[j], f[i]))
+    for i in range(n - 2):
+        check("H3", (i + 1,), prod(f[i], f[i + 1], f[i]) - 4 * _zeta(f[i](one)),
+              prod(f[i + 1], f[i], f[i + 1]) - 4 * _zeta(f[i + 1](one)))
     return report
 
 
 def verify_conjugation_table(n: int) -> list[dict]:
-    """Match s_1^-1 x s_1 against the closed-form table for nearby generators."""
+    """Match (2 s_1^-1) x (2 s_1) = 4 s_1^-1 x s_1 against the closed-form table for nearby generators."""
     if n < 3:
         raise ValueError("need n >= 3")
-    s1 = braid_generator(n, 1)
-    s1i = braid_generator_inverse(n, 1)
+    two_s = _generators(n, 1)[0]
+    two_s_inv = _generators(n, 1, left=True)[1]
 
-    def w(eps_bits, nu_bits):
-        eps = sum(1 << (i - 1) for i in eps_bits)
-        nu = sum(1 << (i - 1) for i in nu_bits)
-        return AlgebraElement.from_word(Word(n, eps, nu))
+    def w(eps, nu):  # the word with these u- and v-masks
+        return _word(n, Word(n, eps, nu).index)
 
     expected = [
-        ("u1", w([1], []), w([1], [1])),          # -> u1 v1
-        ("v1", w([], [1]), w([1], [])),           # -> u1
-        ("u2", w([2], []), w([2], [1])),          # -> u2 v1
-        ("v2", w([], [2]), -w([1], [1, 2])),      # -> -u1 v1 v2
+        ("u1", w(1, 0), w(1, 1)),          # -> u1 v1
+        ("v1", w(0, 1), w(1, 0)),          # -> u1
+        ("u2", w(2, 0), w(2, 1)),          # -> u2 v1
+        ("v2", w(0, 2), -w(1, 3)),         # -> -u1 v1 v2
     ]
     if n >= 4:
-        expected.append(("u3", w([3], []), w([3], [])))
-        expected.append(("v3", w([], [3]), w([], [3])))
-    report = []
-    for name, x, want in expected:
-        got = s1i * x * s1
-        report.append({"relation": "conjugation", "indices": [name], "pass": got == want})
-    return report
+        expected += [("u3", w(4, 0), w(4, 0)), ("v3", w(0, 4), w(0, 4))]
+    return [_entry("conjugation", [name], np.array_equal(two_s_inv(two_s(x)), 4 * want))
+            for name, x, want in expected]
 
 
 def markov_scaling_constants() -> tuple[Scalar, Scalar]:
@@ -143,51 +157,48 @@ def verify_markov(n: int) -> list[dict]:
     """Tr(f_{n-1} b) = (1/2) Tr(b) over a spanning set of the sub-strand algebra.
 
     The spanning set is every word in the first n-2 positions; a few random
-    linear combinations are thrown in on top.
+    linear combinations are thrown in on top.  Times 2(1 + zeta) this reads
+    Tr(F_{n-1} b) = (1 + zeta) Tr(b); the scaling checks, times 2, read
+    Tr(b (2 s)) = 2 z+ Tr(b) and Tr(b (2 s^-1)) = 2 z- Tr(b).  Each product
+    takes one vector, and Tr is its coefficient of the unit, at index 0.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    f_last = idempotent(n, n - 1)
-    half = Scalar.of(Fraction(1, 2))
-    report = [
-        {
-            "relation": "markov-eta",
-            "indices": ["Tr(f)"],
-            "pass": f_last.trace() == half,
-        }
-    ]
-    sub_mask = (1 << (n - 2)) - 1
-    sub_words = [
-        Word(n, e, v) for e in range(sub_mask + 1) for v in range(sub_mask + 1)
-    ]
-    ok_words = all(
-        (f_last * AlgebraElement.from_word(w)).trace()
-        == half * AlgebraElement.from_word(w).trace()
-        for w in sub_words
-    )
-    report.append({"relation": "markov-span", "indices": [len(sub_words)], "pass": ok_words})
+    one = _word(n)
+    two_s, two_s_inv, _ = _generators(n, n - 1)
+    f_last = _generators(n, n - 1, left=True)[2]
 
+    def markov(b) -> bool:
+        return np.array_equal(f_last(b)[:, 0], b[:, 0] + _zeta(b[:, 0]))
+
+    sub_mask = (1 << (n - 2)) - 1
+    sub_words = [Word(n, e, v).index for e in range(sub_mask + 1) for v in range(sub_mask + 1)]
+    report = [
+        _entry("markov-eta", ["Tr(f)"], markov(one)),
+        _entry("markov-span", [len(sub_words)], all(markov(_word(n, w)) for w in sub_words)),
+    ]
     rng = random.Random(_MARKOV_SEED)
-    pool = [Scalar.of(k) for k in range(-2, 3)] + [ZETA, -ZETA, ZETA * ZETA]
+    # -2..2, zeta, -zeta, zeta^2
+    pool = [(k, 0) for k in range(-2, 3)] + [(0, 1), (0, -1), times_zeta(0, 1)]
     ok_rand = True
     for _ in range(_MARKOV_EXTRA_RANDOM):
-        k = min(5, len(sub_words))
-        b = AlgebraElement(n, {w: rng.choice(pool) for w in rng.sample(sub_words, k)})
-        if (f_last * b).trace() != half * b.trace():
-            ok_rand = False
-    report.append({"relation": "markov-random", "indices": [_MARKOV_EXTRA_RANDOM], "pass": ok_rand})
+        b = np.zeros_like(one)
+        for w in rng.sample(sub_words, min(5, len(sub_words))):
+            b[:, w] = rng.choice(pool)
+        ok_rand &= markov(b)
+    report.append(_entry("markov-random", [_MARKOV_EXTRA_RANDOM], ok_rand))
 
     z_pos, z_neg = markov_scaling_constants()
-    s_last = braid_generator(n, n - 1)
-    s_last_inv = braid_generator_inverse(n, n - 1)
+
+    def scaled(z, b):
+        return 2 * (z.a * b[:, 0] + z.b * _zeta(b[:, 0]))
+
     ok_scale = all(
-        (AlgebraElement.from_word(w) * s_last).trace()
-        == z_pos * AlgebraElement.from_word(w).trace()
-        and (AlgebraElement.from_word(w) * s_last_inv).trace()
-        == z_neg * AlgebraElement.from_word(w).trace()
-        for w in sub_words
+        np.array_equal(two_s(b)[:, 0], scaled(z_pos, b))
+        and np.array_equal(two_s_inv(b)[:, 0], scaled(z_neg, b))
+        for b in (_word(n, w) for w in sub_words)
     )
-    report.append({"relation": "markov-scaling", "indices": ["z+", "z-"], "pass": ok_scale})
+    report.append(_entry("markov-scaling", ["z+", "z-"], ok_scale))
     return report
 
 
@@ -206,6 +217,6 @@ def subalgebra_dimension(n: int) -> int:
     `intspan.t_word_rank` computes round by round with batched elimination over
     Z, entries below 2^31 and matrix products below 2^62 (else OverflowError).
     """
-    if not 2 <= n <= 6:
-        raise ValueError("supported range is 2 <= n <= 6")
+    if not 2 <= n <= MAX_DIMENSION_N:
+        raise ValueError(f"supported range is 2 <= n <= {MAX_DIMENSION_N}")
     return intspan.t_word_rank(n)

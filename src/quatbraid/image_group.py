@@ -113,8 +113,8 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     return SignedPermutation(n, (2 * target + (coeff < 0)).astype(np.uint16))
 
 
-# The default cap on the elements a group enumeration may find.
-MAX_ELEMENTS = 2_000_000
+# The default cap on the elements a group enumeration may find, and the largest n it supports.
+MAX_ELEMENTS, MAX_N = 2_000_000, 5
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -203,8 +203,8 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
     information for the full group is reported separately: the action kills
     scalars always, plus the nontrivial central words when there are any.
     """
-    if not 2 <= n <= 5:
-        raise ValueError("supported range is 2 <= n <= 5")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"supported range is 2 <= n <= {MAX_N}")
     if max_elements < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements}")
     actions = [conjugation_action(i, n) for i in range(1, n)]

@@ -1,7 +1,8 @@
 """Exact arithmetic in Q(zeta) where zeta = e^(i*pi/3), a primitive 6th root of unity.
 
 Elements are stored on the basis {1, zeta} with the reduction zeta^2 = zeta - 1
-(minimal polynomial x^2 - x + 1).  Coefficients are exact rationals, so every
+(minimal polynomial x^2 - x + 1), applied by `times_zeta` alone, on rationals
+or elementwise on integer arrays.  Coefficients are exact rationals, so every
 operation in the package is exact; there is no floating point anywhere.
 
 Scalars are coefficients of algebra elements and results such as the
@@ -13,6 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def times_zeta(a, b):
+    """(a + b zeta) zeta as a pair: a zeta + b zeta^2 = -b + (a + b) zeta."""
+    return -b, a + b
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,9 @@ class Scalar:
         return Scalar(-self.a, -self.b)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2, with z^2 = z - 1.
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return Scalar(a * c - b * d, a * d + b * c + b * d)
+        # (a + b z)(c + d z) = c (a + b z) + d (a + b z) z
+        za, zb = times_zeta(self.a, self.b)
+        return Scalar(other.a * self.a + other.b * za, other.a * self.b + other.b * zb)
 
     def conj(self) -> Scalar:
         # conj(zeta) = 1 - zeta
@@ -60,9 +66,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __pow__(self, k: int) -> Scalar:
         if k < 0:
@@ -93,14 +96,7 @@ ZERO = Scalar.of(0)
 ONE = Scalar.of(1)
 ZETA = Scalar.of(0, 1)
 
-_ZETA_POWERS = (
-    Scalar.of(1, 0),   # z^0
-    Scalar.of(0, 1),   # z^1
-    Scalar.of(-1, 1),  # z^2 = z - 1
-    Scalar.of(-1, 0),  # z^3
-    Scalar.of(0, -1),  # z^4
-    Scalar.of(1, -1),  # z^5
-)
+_ZETA_POWERS = tuple(ZETA**k for k in range(6))
 
 
 def qpow(k: int) -> Scalar:

@@ -134,7 +134,7 @@ def test_08_invariant_identity_on_link_table():
         dim = triple_cover_dim(entry.seifert_rows)
         assert val.norm_sq() == 2**dim, (entry.name, val, dim)
         sq = val * val
-        assert sq.is_rational() and sq.a in (val.norm_sq(), -val.norm_sq()), entry.name
+        assert sq.b == 0 and sq.a in (val.norm_sq(), -val.norm_sq()), entry.name
         if entry.name in anchors:
             assert val == anchors[entry.name], entry.name
         if entry.name == "hopf":

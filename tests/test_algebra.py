@@ -135,6 +135,14 @@ def test_mismatched_strand_counts():
         AlgebraElement.one(2) * AlgebraElement.one(3)
 
 
+@pytest.mark.parametrize("idx", [100, -1, 16])
+def test_from_index_rejects_out_of_range(idx):
+    # n = 3 has 16 words; masking the high bits would turn 100 into u1
+    with pytest.raises(ValueError, match="out of range"):
+        Word.from_index(3, idx)
+    assert str(Word.from_index(3, 15)) == "u1u2v1v2"
+
+
 # --- associativity -----------------------------------------------------------
 
 @settings(max_examples=200)
@@ -174,16 +182,16 @@ def test_identity_element():
 def test_binomial_product():
     # (u1 + v1)(u1 - v1) = -2 u1 v1
     n = 2
-    u1 = AlgebraElement.from_word(W(n, eps=1))
-    v1 = AlgebraElement.from_word(W(n, nu=1))
+    u1 = AlgebraElement(n, {W(n, eps=1): ONE})
+    v1 = AlgebraElement(n, {W(n, nu=1): ONE})
     got = (u1 + v1) * (u1 - v1)
-    want = AlgebraElement.from_word(W(n, eps=1, nu=1), Scalar.of(-2))
+    want = AlgebraElement(n, {W(n, eps=1, nu=1): Scalar.of(-2)})
     assert got == want
 
 
 def test_trace_values():
     assert AlgebraElement.one(3).trace() == ONE
-    assert AlgebraElement.from_word(W(3, eps=1, nu=2)).trace() == Scalar.of(0)
+    assert AlgebraElement(3, {W(3, eps=1, nu=2): ONE}).trace() == Scalar.of(0)
 
 
 def test_trace_is_tracial():

@@ -94,7 +94,7 @@ def test_phase_magnitude_law():
         ns = val.norm_sq()
         assert ns.denominator == 1 and ns.numerator & (ns.numerator - 1) == 0
         sq = val * val
-        assert sq.is_rational()
+        assert sq.b == 0
         assert sq.a in (ns, -ns)
 
 

@@ -1,12 +1,13 @@
 """CLI commands, exit codes, and report determinism."""
 
 import json
+import pathlib
 import random
 
 import pytest
 from click.testing import CliRunner
 
-from quatbraid import braids
+from quatbraid import braids, cli as cli_module, linktable
 from quatbraid.braids import BraidWord, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
 from quatbraid.scalar import ONE
@@ -293,6 +294,32 @@ def _strip_timing(report):
     report = dict(report)
     report.pop("wallTimeSeconds")
     return report
+
+
+def test_invariant_phase_can_fail(monkeypatch):
+    # a value with the right magnitude and the wrong sign fails the phase check only
+    trefoil = next(e.braid for e in linktable.load_bundled() if e.name == "trefoil")
+    real = cli_module.invariant
+    monkeypatch.setattr(cli_module, "invariant", lambda b: -real(b) if b == trefoil else real(b))
+    report = run_suite(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=0)
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert checks["invariant-magnitude[trefoil]"] and not checks["invariant-phase[trefoil]"]
+    assert [name for name, ok in checks.items() if not ok] == ["invariant-phase[trefoil]"]
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def test_reports_match_saved_reports(runner, tmp_path):
+    # verify --n 6 and the default suite report, saved while the relation and
+    # Markov checks still ran on AlgebraElement; only the timing may differ
+    result = runner.invoke(cli, ["verify", "--n", "6"])
+    assert result.exit_code == 0
+    assert result.output == (DATA / "verify_n6.json").read_text()
+    out = tmp_path / "suite.json"
+    result = runner.invoke(cli, ["suite", "--json-out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _strip_timing(json.loads(out.read_text())) == json.loads((DATA / "suite_default.json").read_text())
 
 
 def test_suite_deterministic_given_seed():

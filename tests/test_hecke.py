@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatbraid import intspan
 from quatbraid.algebra import AlgebraElement, Word, mul_words, quad_words, word_count
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     S_COEFF,
+    _generators,
     braid_generator,
     braid_generator_inverse,
     idempotent,
@@ -76,6 +78,63 @@ def test_idempotent_trace_product():
 def test_markov(n):
     report = verify_markov(n)
     assert all(e["pass"] for e in report), report
+
+
+def _element(n, v):
+    """A Z[zeta] coefficient vector of shape (2, 4^(n-1)) as an AlgebraElement."""
+    terms = {Word.from_index(n, x): Scalar.of(int(a), int(b)) for x, (a, b) in enumerate(v.T)}
+    return AlgebraElement(n, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_operators_match_q_zeta_generators(data):
+    # the checks' 2 s_i, 2 s_i^-1 and F_i = 2(1 + zeta) f_i on either side
+    # of a vector, against the Q(zeta) generators
+    n = data.draw(st.integers(2, 5), label="n")
+    i = data.draw(st.integers(1, n - 1), label="i")
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    terms = data.draw(st.dictionaries(st.integers(0, word_count(n) - 1), coeffs, max_size=6), label="terms")
+    v = np.zeros((2, word_count(n)), dtype=np.int64)
+    for x, pair in terms.items():
+        v[:, x] = pair
+    x = _element(n, v)
+    generators = braid_generator(n, i), braid_generator_inverse(n, i), idempotent(n, i)
+    scales = Scalar.of(2), Scalar.of(2), Scalar.of(2, 2)
+    for left in (False, True):
+        for op, g, c in zip(_generators(n, i, left), generators, scales):
+            assert _element(n, op(v)) == (g * x if left else x * g).scale(c), (op, left)
+
+
+def test_checks_run_no_q_zeta_products(monkeypatch):
+    # the scaling constants are derived in Q(zeta) once; the checks' own work is integral
+    constants = markov_scaling_constants()
+
+    def forbidden(*args):
+        raise AssertionError("a Q(zeta) product ran inside a check")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", forbidden)
+    monkeypatch.setattr(Scalar, "__mul__", forbidden)
+    monkeypatch.setattr("quatbraid.hecke.markov_scaling_constants", lambda: constants)
+    for n in (3, 4, 5):
+        for report in (verify_relations(n), verify_conjugation_table(n), verify_markov(n)):
+            assert report and all(e["pass"] for e in report), report
+
+
+def test_flipped_table_sign_fails_a_relation(monkeypatch):
+    # one wrong sign in the right T_2 table at n = 4 is a failing entry, not an exception
+    real = intspan.t_action
+
+    def flipped(n, i, left=False):
+        sources, signs = real(n, i, left)
+        if (n, i, left) == (4, 2, False):
+            signs = signs.copy()
+            signs[1, 0] *= -1
+        return sources, signs
+
+    monkeypatch.setattr(intspan, "t_action", flipped)
+    report = verify_relations(4)
+    assert [e for e in report if not e["pass"]]
 
 
 def test_markov_scaling_constants():

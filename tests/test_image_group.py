@@ -101,8 +101,8 @@ def test_action_matches_algebra_conjugation(n):
         for idx in range(word_count(n)):
             w = Word.from_index(n, idx)
             target, sign = _target_sign(act, idx)
-            want = AlgebraElement.from_word(Word.from_index(n, target), ONE if sign > 0 else -ONE)
-            assert s_inv * AlgebraElement.from_word(w) * s == want, (n, i, str(w))
+            want = AlgebraElement(n, {Word.from_index(n, target): ONE if sign > 0 else -ONE})
+            assert s_inv * AlgebraElement(n, {w: ONE}) * s == want, (n, i, str(w))
 
 
 def test_corrupted_t_table_is_caught(monkeypatch):
@@ -126,7 +126,7 @@ def test_left_regular_matrix_matches_algebra_product(n):
         mat = left_regular_matrix(i, n)
         s = braid_generator(n, i)
         for col in range(word_count(n)):
-            prod = s * AlgebraElement.from_word(Word.from_index(n, col))
+            prod = s * AlgebraElement(n, {Word.from_index(n, col): ONE})
             want = [prod.terms.get(Word.from_index(n, row), ZERO) for row in range(word_count(n))]
             got = [S_COEFF * Scalar.of(mat[row][col]) for row in range(word_count(n))]
             assert got == want, (n, i, col)
