@@ -16,7 +16,7 @@ from typing import NoReturn
 
 import click
 
-from quatbraid import algebra, cover, diagrams, hecke, image_group, linktable
+from quatbraid import algebra, braids, cover, diagrams, hecke, image_group, linktable
 from quatbraid.braids import BraidWord, braided_span, evaluate, invariant, markov_move_test, random_braid
 from quatbraid.scalar import Scalar, qpow
 
@@ -73,6 +73,8 @@ def verify(n_max, json_out):
     """Check braid/quadratic/idempotent relations and the conjugation table."""
     if n_max < 3:
         raise ValueError(f"--n must be at least 3 (the relations need three strands), got {n_max}")
+    if n_max > braids.MAX_BRAIDED_STRANDS:
+        raise ValueError(f"--n must be at most {braids.MAX_BRAIDED_STRANDS}, got {n_max}")
     checks = []
     for n in range(3, n_max + 1):
         checks += [dict(e, n=n) for e in hecke.verify_relations(n)]
@@ -195,6 +197,8 @@ def run_suite(
     """
     if relation_n_max < 3:
         raise ValueError(f"relation_n_max must be at least 3 (relations need three strands), got {relation_n_max}")
+    if relation_n_max > braids.MAX_BRAIDED_STRANDS:
+        raise ValueError(f"relation_n_max must be at most {braids.MAX_BRAIDED_STRANDS}, got {relation_n_max}")
     if dim_n_max > hecke.MAX_DIMENSION_N:
         raise ValueError(f"dim_n_max must be at most {hecke.MAX_DIMENSION_N}, got {dim_n_max}")
     if group_n_max > image_group.MAX_N:

@@ -12,7 +12,13 @@ composing every row of a level with a generator is one numpy gather.  Rows
 are told apart by their codes at the 2(n-1) words u_i, v_i alone: every
 element is a composition of conjugations by units of the algebra, hence an
 algebra automorphism, and the u_i, v_i generate the algebra, so their images
-fix the whole row.  Full rows are built only for elements not seen before.
+fix the whole row.  Applying a generator after an element reads each word's
+code at that same word, so the BFS keeps each element's codes only at the
+words the key and the central test read: u_i, v_i and their images under
+the generators (24 of the 256 words at n = 5).  Each element also records
+the generator and parent it came from, and the full row of a central
+element is composed from the generator tables along that path to be
+checked on every word.
 
 The conjugation action and the left-regular matrices both come from the
 integer T_i tables of `intspan`, applied by `intspan.gather`.  The
@@ -137,6 +143,12 @@ def _after(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return table[codes >> 1] ^ (codes & 1)
 
 
+def _columns(actions: list[np.ndarray], base: np.ndarray) -> np.ndarray:
+    """The sorted words whose codes the BFS keeps: `base` and every a[base] >> 1."""
+    # bincount, not np.unique, which imports numpy.ma (about 1.4 MB) on first use
+    return np.flatnonzero(np.bincount(np.concatenate([base] + [a[base] >> 1 for a in actions])))
+
+
 def _first_new_rows(keys: np.ndarray, known: int) -> np.ndarray:
     """Sorted positions, counted from `known`, of the first copy of each row of
     keys[known:] that equals no row of keys[:known]."""
@@ -149,22 +161,30 @@ def _first_new_rows(keys: np.ndarray, known: int) -> np.ndarray:
     return np.flatnonzero(is_first[known:])
 
 
-def _bfs_levels(gens: list[SignedPermutation], base: np.ndarray, cap: int) -> Iterator[np.ndarray]:
-    """The closure of gens as code rows, one BFS level (distance from 1) at a time.
+# links[L-1] = (gen, parent): row k of BFS level L is tables[gen[k]] after row parent[k] of level L-1.
+Links = list[tuple[np.ndarray, np.ndarray]]
 
-    Rows are keyed on their codes at the word indices `base`.  gens is closed
-    under inverses, so every neighbour of level L lies in level L-1, L or L+1:
-    new rows are told apart from the last two levels only.
+
+def _bfs_levels(
+    tables: list[np.ndarray], columns: np.ndarray, base: np.ndarray, cap: int
+) -> Iterator[tuple[np.ndarray, Links]]:
+    """The closure of the code rows `tables`, one BFS level (distance from 1) at a time.
+
+    Yields each level's rows at the words `columns` only, with the links of
+    the levels so far.  Rows are keyed on their codes at the words `base`.
+    tables is closed under inverses, so every neighbour of level L lies in
+    level L-1, L or L+1: new rows are told apart from the last two levels only.
     Raises EnumerationCapExceeded as soon as more than cap elements are found,
     before their rows are built.
     """
-    tables = [g.codes for g in gens]
-    level = SignedPermutation.identity(gens[0].n).codes[None, :]
-    keys = level[:, base]
+    key_pos = np.searchsorted(columns, base)
+    level = 2 * columns[None, :].astype(np.uint16)
+    keys = level[:, key_pos]
     last_keys = keys[:0]
+    links: Links = []
     found = 1
     while True:
-        yield level
+        yield level, links
         candidates = np.concatenate([_after(t, keys) for t in tables])
         known = len(last_keys) + len(keys)
         fresh = _first_new_rows(np.concatenate([last_keys, keys, candidates]), known)
@@ -173,26 +193,45 @@ def _bfs_levels(gens: list[SignedPermutation], base: np.ndarray, cap: int) -> It
         found += len(fresh)
         if found > cap:
             raise EnumerationCapExceeded(cap, cap + 1)
+        # fresh is sorted, so gen is too: the rows come out in the order of fresh
         gen, parent = np.divmod(fresh, len(level))
         level = np.concatenate([_after(t, level[parent[gen == g]]) for g, t in enumerate(tables)])
-        last_keys, keys = keys, level[:, base]
+        links.append((gen, parent))
+        last_keys, keys = keys, level[:, key_pos]
 
 
-def _central_count(rows: np.ndarray, actions: list[np.ndarray], base: np.ndarray) -> int:
-    """How many code rows commute with every action.
+def _full_row(tables: list[np.ndarray], links: Links, k: int) -> np.ndarray:
+    """The code row on every word of element k of the last level in links,
+    composed from the generator tables along its path back to the identity."""
+    row = 2 * np.arange(len(tables[0]), dtype=np.uint16)
+    for gen, parent in reversed(links):
+        row = _after(row, tables[gen[k]])
+        k = parent[k]
+    return row
+
+
+def _central_rows(
+    rows: np.ndarray, links: Links, tables: list[np.ndarray], actions: list[np.ndarray],
+    columns: np.ndarray, base: np.ndarray,
+) -> list[np.ndarray]:
+    """The full code rows of the elements of one level that commute with every action.
 
     el.a and a.el are compared on the words u_i, v_i for all rows at once;
-    each row that passes is then checked on every word.
+    el.a reads el at the words a[base] >> 1, which are in `columns`.  The
+    full row of each element that passes is rebuilt from `links` and checked
+    on every word.
     """
-    keys = rows[:, base]
+    keys = rows[:, np.searchsorted(columns, base)]
     hit = np.ones(len(rows), dtype=bool)
     for a in actions:
         on_base = a[base]
-        hit &= ((rows[:, on_base >> 1] ^ (on_base & 1)) == _after(a, keys)).all(axis=1)
-    for row in rows[hit]:
+        el_a = rows[:, np.searchsorted(columns, on_base >> 1)] ^ (on_base & 1)
+        hit &= (el_a == _after(a, keys)).all(axis=1)
+    central = [_full_row(tables, links, k) for k in np.flatnonzero(hit)]
+    for row in central:
         if not all(np.array_equal(_after(row, a), _after(a, row)) for a in actions):
             raise RuntimeError("element commutes on u_i, v_i but not on every word")
-    return int(hit.sum())
+    return central
 
 
 def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
@@ -202,19 +241,23 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
     group itself (elements commuting with every generator).  Central kernel
     information for the full group is reported separately: the action kills
     scalars always, plus the nontrivial central words when there are any.
+    levelSizes counts the elements at each distance from the identity.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"supported range is 2 <= n <= {MAX_N}")
     if max_elements < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements}")
     actions = [conjugation_action(i, n) for i in range(1, n)]
-    gens = actions + [a.inverse() for a in actions]
-    base = _generator_words(n)
     codes = [a.codes for a in actions]
-    order = central = 0
-    for level in _bfs_levels(gens, base, max_elements):
-        order += len(level)
-        central += _central_count(level, codes, base)
+    tables = codes + [a.inverse().codes for a in actions]
+    base = _generator_words(n)
+    columns = _columns(codes, base)
+    sizes = []
+    central = 0
+    for level, links in _bfs_levels(tables, columns, base, max_elements):
+        sizes.append(len(level))
+        central += len(_central_rows(level, links, tables, codes, columns, base))
+    order = sum(sizes)
     return {
         "n": n,
         "imageOrder": order,
@@ -223,6 +266,7 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
         "generatorOrders": [a.order() for a in actions],
         "centralWordCount": len(center(n)),
         "formulaEstimate": order_formula_estimate(n),
+        "levelSizes": sizes,
         "conclusive": True,
     }
 

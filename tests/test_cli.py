@@ -96,6 +96,7 @@ def test_invariant_bad_letter(runner):
         ["suite", "--config", {"json": '{"dim_n_max": 7, "group_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"markov_braids": -3, "group_n_max": 2, "dim_n_max": 2}'}],
         ["suite", "--config", {"json": '{"relation_n_max": 2}'}],
+        ["suite", "--config", {"json": '{"relation_n_max": 9}'}],
         [],
         ["suite", "--seed", "abc"],
         ["suite", "--bogus"],
@@ -277,8 +278,9 @@ def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
 @pytest.mark.parametrize(
     "bad",
     [{"group_n_max": 6}, {"dim_n_max": 7}, {"markov_braids": -3}, {"max_group_elements": 0},
-     {"relation_n_max": 2}],
-    ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap", "relation-n-max"],
+     {"relation_n_max": 2}, {"relation_n_max": 9}],
+    ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap", "relation-n-max",
+         "relation-n-max-above-8"],
 )
 def test_run_suite_checks_ranges_before_any_work(monkeypatch, bad):
     # the relation checks run first; reaching them means the range check came too late
@@ -288,6 +290,17 @@ def test_run_suite_checks_ranges_before_any_work(monkeypatch, bad):
     monkeypatch.setattr("quatbraid.hecke.verify_relations", no_work)
     with pytest.raises(ValueError, match=next(iter(bad))):
         run_suite(**bad)
+
+
+def test_verify_above_eight_strands_fails_before_any_check(runner, monkeypatch):
+    # n = 9 would cache about 89 MB of T_i tables before reporting anything
+    def no_work(n):
+        raise AssertionError("a check ran before the range check")
+
+    monkeypatch.setattr("quatbraid.hecke.verify_relations", no_work)
+    result = runner.invoke(cli, ["verify", "--n", "9"])
+    _assert_one_line_error(result)
+    assert "at most 8" in result.output
 
 
 def _strip_timing(report):

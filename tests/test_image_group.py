@@ -133,7 +133,7 @@ def test_left_regular_matrix_matches_algebra_product(n):
 
 
 def _closure_by_compose(n):
-    """Oracle: the image group as whole signed permutations, one compose at a time."""
+    """Oracle: the image group and its center as whole signed permutations, one compose at a time."""
     actions = [conjugation_action(i, n) for i in range(1, n)]
     gens = actions + [a.inverse() for a in actions]
     els = {SignedPermutation.identity(n)}
@@ -142,14 +142,46 @@ def _closure_by_compose(n):
         new = {g.compose(b) for b in frontier for g in gens} - els
         els |= new
         frontier = list(new)
-    central = [el for el in els if all(el.compose(a) == a.compose(el) for a in actions)]
-    return len(els), len(central)
+    central = {el for el in els if all(el.compose(a) == a.compose(el) for a in actions)}
+    return els, central
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumeration_matches_full_row_closure(n):
     res = enumerate_group(n)
-    assert (res["imageOrder"], res["centerOrder"]) == _closure_by_compose(n)
+    els, central = _closure_by_compose(n)
+    assert (res["imageOrder"], res["centerOrder"]) == (len(els), len(central))
+
+
+def _narrow_closure(n):
+    """The BFS rows at its columns, the full row rebuilt for each, and the
+    full rows of the central elements."""
+    codes = [conjugation_action(i, n).codes for i in range(1, n)]
+    tables = codes + [SignedPermutation(n, c).inverse().codes for c in codes]
+    base = image_group._generator_words(n)
+    columns = image_group._columns(codes, base)
+    rows, central = [], set()
+    for level, links in image_group._bfs_levels(tables, columns, base, image_group.MAX_ELEMENTS):
+        rows += [(row, image_group._full_row(tables, links, k)) for k, row in enumerate(level)]
+        central |= {r.tobytes() for r in image_group._central_rows(level, links, tables, codes, columns, base)}
+    return columns, rows, central
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_narrow_rows_match_full_row_closure(n):
+    els, central = _closure_by_compose(n)
+    columns, rows, central_rows = _narrow_closure(n)
+    assert len(columns) < word_count(n)
+    assert {row.tobytes() for row, _ in rows} == {el.codes[columns].tobytes() for el in els}
+    assert {full.tobytes() for _, full in rows} == {el.codes.tobytes() for el in els}
+    assert all(np.array_equal(row, full[columns]) for row, full in rows)
+    assert central_rows == {el.codes.tobytes() for el in central}
+
+
+def test_level_sizes_n5():
+    sizes = enumerate_group(5)["levelSizes"]
+    assert sizes == [1, 8, 36, 126, 363, 916, 2052, 4096, 7396, 12158, 17877, 18892, 9787, 3136, 759, 146, 10, 1]
+    assert sum(sizes) == 77760
 
 
 def test_enumeration_cap():
@@ -160,20 +192,23 @@ def test_enumeration_cap():
 
 @pytest.mark.parametrize("n, cap", [(3, 1), (4, 100), (5, 1000)])
 def test_cap_stops_before_full_rows_of_the_over_cap_level(monkeypatch, n, cap):
-    # full rows (one code per word) are gathered per level; the level that
+    # each level's rows are gathered at the BFS columns; the level that
     # passes the cap must raise before any of its rows are built
-    full_rows = []
+    actions = [conjugation_action(i, n).codes for i in range(1, n)]
+    width = len(image_group._columns(actions, image_group._generator_words(n)))
+    assert width > 2 * (n - 1)  # wider than the key rows, which are gathered too
+    built_rows = []
     after = image_group._after
 
     def spy(table, codes):
-        if codes.ndim == 2 and codes.shape[1] == word_count(n):
-            full_rows.append(len(codes))
+        if codes.ndim == 2 and codes.shape[1] == width:
+            built_rows.append(len(codes))
         return after(table, codes)
 
     monkeypatch.setattr(image_group, "_after", spy)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_group(n, max_elements=cap)
-    assert sum(full_rows) < cap
+    assert sum(built_rows) < cap
 
 
 def test_enumerate_range_check():
