@@ -19,9 +19,10 @@ cancels: zeta^(-2e) c^p c'^m = zeta^(6m) / 2^L = 2^-L.  So
 
     I(beta) = 2^(n-1-L) Tr(P) = 2^(n-1-L+k) t,
 
-where `intspan.t_word_trace` returns Tr(P) = 2^k t.  The product lives on the
-strands the word braids, relabelled to 1..; each further strand is a split
-unknot and contributes its factor 2 through n.  `evaluate`, the image as an
+where `intspan.t_word_trace` returns Tr(P) = 2^k t, applying each letter by
+`intspan.letter`, the package's one integer form of a letter.  The product
+lives on the strands the word braids, relabelled to 1..; each further strand
+is a split unknot and contributes its factor 2 through n.  `evaluate`, the image as an
 `AlgebraElement`, is the independent Q(zeta) route the tests compare against.
 """
 

@@ -9,10 +9,11 @@ built here over Q(zeta) as the tests' reference.  The checks of the braid,
 quadratic and idempotent relations, of the conjugation table of s_1 and of the
 Markov property take each relation times a constant, so that only 2 s_i,
 2 s_i^-1 and F_i = 2(1 + zeta) f_i = 2 zeta - 2 s_i occur.  They apply the
-integer T_i tables of `intspan` to Z[zeta] vectors: int64 arrays v of shape
-(2, 4^(n-1)) holding v[0] + zeta v[1] on the word basis.  The dimension of the
-subalgebra the s_i generate comes from exact span closure over the integers:
-the Q(zeta)-dimension of a span of rational vectors is their Q-rank.
+integer letters T_i and 2 - T_i of `intspan.letter` to Z[zeta] vectors: int64
+arrays v of shape (2, 4^(n-1)) holding v[0] + zeta v[1] on the word basis.
+The dimension of the subalgebra the s_i generate comes from exact span
+closure over the integers: the Q(zeta)-dimension of a span of rational
+vectors is their Q-rank.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ def _zeta(v, k: int = 1):
 
 
 def _generators(n: int, i: int, left: bool = False):
-    """The maps v -> v (2 s_i), v (2 s_i^-1), v F_i, or the products on the left when left is true."""
-    t = functools.partial(intspan.gather, intspan.t_action(n, i, left))
-    return (lambda v: _zeta(t(v), 2), lambda v: _zeta(2 * v - t(v), 4),
-            lambda v: 2 * _zeta(v) - _zeta(t(v), 2))
+    """The maps v -> v (2 s_i) = zeta^2 v T_i, v (2 s_i^-1) = zeta^4 v (2 - T_i), v F_i,
+    or the products on the left when left is true."""
+    letter = functools.partial(intspan.letter, n=n, left=left)
+    return (lambda v: _zeta(letter(v, a=i), 2), lambda v: _zeta(letter(v, a=-i), 4),
+            lambda v: 2 * _zeta(v) - _zeta(letter(v, a=i), 2))
 
 
 def _word(n: int, index: int = 0):
@@ -92,9 +94,10 @@ def verify_relations(n: int) -> list[dict]:
     Returns one report entry per relation instance; failures are entries with
     pass=False, never exceptions.  Scaled by 8: B1, B2, cube; by 4: E1, inverse;
     by 4(1+zeta)^2: H1; by 8(1+zeta)^3: H3, where f_i has coefficient zeta/(1+zeta)^2.
+    At n = 2 only E1, inverse, cube and H1 occur.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    if n < 2:
+        raise ValueError("need n >= 2")
     s, s_inv, f = zip(*(_generators(n, i) for i in range(1, n)))
     one, far = _word(n), [(i, j) for i in range(n - 1) for j in range(i + 2, n - 1)]
     report = []

@@ -8,8 +8,8 @@ center are what the finiteness statement predicts.
 
 The closure is a breadth-first search that handles one BFS level at a time.
 An element is a row of signed codes 2*target + (sign < 0), one per word, so
-composing every row of a level with a generator is one numpy gather.  Rows
-are told apart by their codes at the 2(n-1) words u_i, v_i alone: every
+composing every row of a level with a generator is one numpy indexing step.
+Rows are told apart by their codes at the 2(n-1) words u_i, v_i alone: every
 element is a composition of conjugations by units of the algebra, hence an
 algebra automorphism, and the u_i, v_i generate the algebra, so their images
 fix the whole row.  Applying a generator after an element reads each word's
@@ -21,8 +21,8 @@ element is composed from the generator tables along that path to be
 checked on every word.
 
 The conjugation action and the left-regular matrices both come from the
-integer T_i tables of `intspan`, applied by `intspan.gather`.  The
-left-regular determinant of s_i = S_COEFF T_i is S_COEFF^(4^(n-1)) times the
+integer letters T_i and 2 - T_i of `intspan.letter`.  The left-regular
+determinant of s_i = S_COEFF T_i is S_COEFF^(4^(n-1)) times the
 integer det(T_i), so the only Q(zeta) step is that one scalar product.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from quatbraid.algebra import Word, center, word_count
 from quatbraid.hecke import S_COEFF
-from quatbraid.intspan import exact_determinant, gather, t_action
+from quatbraid.intspan import exact_determinant, letter
 from quatbraid.scalar import Scalar
 
 
@@ -98,14 +98,13 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     """Signed permutation w -> s_i^-1 w s_i on the word basis.
 
     s_i = c T_i and s_i^-1 = c' (2 - T_i) with T_i = 1 + u_i + v_i + u_i v_i
-    and c c' = 1/4, so the conjugate is (1/4)(2 - T_i) w T_i.  Gathering the
-    rows of the integer identity matrix through the right T_i table gives
-    X = w T_i for every word w at once, one row each, and 2X - T_i X the
-    conjugates times 4; each row must be a single word with coefficient +-4.
+    and c c' = 1/4, so the conjugate is (1/4)(2 - T_i) w T_i.  Letter +i on
+    the right of the rows of the integer identity matrix, then letter -i on
+    the left, gives the conjugates times 4 of every word w at once, one row
+    each; each row must be a single word with coefficient +-4.
     """
     size = word_count(n)
-    right = gather(t_action(n, i), np.eye(size, dtype=np.int64))
-    conj = 2 * right - gather(t_action(n, i, left=True), right)
+    conj = letter(letter(np.eye(size, dtype=np.int64), n, i), n, -i, left=True)
     terms = np.count_nonzero(conj, axis=1)
     target = np.abs(conj).argmax(axis=1)
     coeff = conj[np.arange(size), target]
@@ -287,8 +286,7 @@ def order_formula_estimate(n: int) -> int:
 
 def left_regular_matrix(i: int, n: int) -> list[list[int]]:
     """Integer matrix of left multiplication by T_i on the word basis; s_i = S_COEFF T_i."""
-    rows = gather(t_action(n, i, left=True), np.eye(word_count(n), dtype=np.int64))
-    return rows.T.tolist()
+    return letter(np.eye(word_count(n), dtype=np.int64), n, i, left=True).T.tolist()
 
 
 def left_regular_determinant(i: int, n: int) -> Scalar:

@@ -3,9 +3,11 @@
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
 the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
-algebra's sign rule), applied to row vectors by `gather`.
-`t_word_trace` multiplies 1 by one T_i or 2 - T_i per braid letter and reads
-off the identity coefficient; `braids.invariant` is built on it.
+algebra's sign rule).  s_i = (zeta^2/2) T_i and s_i^-1 = (zeta^4/2)(2 - T_i),
+so braid letter +i acts on integer vectors as T_i and -i as 2 - T_i; `letter`,
+the one integer form of a letter, applies the tables and holds the 2^31 guard.
+`t_word_trace` multiplies 1 by one letter at a time and reads off the
+identity coefficient; `braids.invariant` is built on it.
 Closing {1} under right multiplication by every T_i, one word length per round
 and one int64 matrix product per block of a round, gives the Q-rank of all
 T-words exactly.  Both factors of every elementwise multiply are below 2^31,
@@ -54,10 +56,17 @@ def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
     return sources, signs
 
 
-def gather(table: tuple[np.ndarray, np.ndarray], vecs: np.ndarray) -> np.ndarray:
-    """A `t_action` table applied to integer coefficient vectors, one per row."""
-    sources, signs = table
-    return (signs * vecs[..., sources]).sum(axis=-2)
+def letter(vecs: np.ndarray, n: int, a: int, left: bool = False) -> np.ndarray:
+    """vecs T_i for braid letter a = +i and vecs (2 - T_i) for a = -i, on integer
+    coefficient vectors over the word basis, one per row (T_i vecs and
+    (2 - T_i) vecs when left is true).
+
+    Raises OverflowError when an entry of vecs reaches 2^31, so no product wraps int64.
+    """
+    _check(_magnitude(vecs))
+    sources, signs = t_action(n, abs(a), left)
+    times_t = (signs * vecs[..., sources]).sum(axis=-2)
+    return times_t if a > 0 else 2 * vecs - times_t
 
 
 def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
@@ -73,12 +82,6 @@ def _magnitude(*arrays: np.ndarray) -> int:
 def _primitive(rows: np.ndarray) -> np.ndarray:
     """Each row divided by the gcd of its entries; zero rows are returned as is."""
     return rows // np.maximum(np.gcd.reduce(rows, axis=-1, keepdims=True), 1)
-
-
-def _times_t(vecs: np.ndarray, n: int, i: int) -> np.ndarray:
-    """vecs T_i for integer coefficient vectors on the word basis, one per row."""
-    _check(_magnitude(vecs))
-    return gather(t_action(n, i), vecs)
 
 
 def _reduce(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -131,8 +134,7 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     vec = np.eye(1, word_count(n), Word.identity(n).index, dtype=np.int64)[0]
     k = 0
     for a in letters:
-        times_t = _times_t(vec, n, abs(a))
-        vec = times_t if a > 0 else 2 * vec - times_t
+        vec = letter(vec, n, a)
         low = int(np.bitwise_or.reduce(vec))
         twos = (low & -low).bit_length() - 1
         if twos > 0:
@@ -156,7 +158,7 @@ def t_word_rank(n: int) -> int:
         frontier, start = basis[start:].copy(), len(basis)
         for b in range(0, len(frontier), _BLOCK_ROWS):
             for i in range(1, n):
-                basis, pivots = _insert(basis, pivots, _times_t(frontier[b:b + _BLOCK_ROWS], n, i))
+                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + _BLOCK_ROWS], n, i))
         if len(basis) > size:
             raise RuntimeError("span closure exceeded the ambient dimension")
     return len(basis)

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from quatbraid import braids, cli as cli_module, linktable
+from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import BraidWord, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
 from quatbraid.scalar import ONE
@@ -104,6 +105,7 @@ def test_invariant_bad_letter(runner):
         ["bratteli", "--levels", "1", "--dot", {"missing": "graph.dot"}],
         ["bratteli", "--levels", "3", "--dot", {"missing": "dir/graph.dot"}],
         ["verify", "--n", "3", "--json-out", {"missing": "dir/report.json"}],
+        ["suite", "--dim-n-max", "0", "--group-n-max", "0", "--markov-braids", "0"],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):
@@ -278,9 +280,9 @@ def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
 @pytest.mark.parametrize(
     "bad",
     [{"group_n_max": 6}, {"dim_n_max": 7}, {"markov_braids": -3}, {"max_group_elements": 0},
-     {"relation_n_max": 2}, {"relation_n_max": 9}],
+     {"relation_n_max": 2}, {"relation_n_max": 9}, {"dim_n_max": 1}, {"group_n_max": 1}],
     ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap", "relation-n-max",
-         "relation-n-max-above-8"],
+         "relation-n-max-above-8", "dim-n-max-below-2", "group-n-max-below-2"],
 )
 def test_run_suite_checks_ranges_before_any_work(monkeypatch, bad):
     # the relation checks run first; reaching them means the range check came too late
@@ -301,6 +303,30 @@ def test_verify_above_eight_strands_fails_before_any_check(runner, monkeypatch):
     result = runner.invoke(cli, ["verify", "--n", "9"])
     _assert_one_line_error(result)
     assert "at most 8" in result.output
+
+
+def test_run_suite_multiplies_algebra_elements_only_in_evaluate(monkeypatch):
+    # every check but the invariant-phase oracle runs on the integer tables
+    outside, depth = [], [0]
+    real_mul, real_evaluate = AlgebraElement.__mul__, cli_module.evaluate
+
+    def mul(self, other):
+        if not depth[0]:
+            outside.append(self.n)
+        return real_mul(self, other)
+
+    def evaluate(beta):
+        depth[0] += 1
+        try:
+            return real_evaluate(beta)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", mul)
+    monkeypatch.setattr(cli_module, "evaluate", evaluate)
+    report = run_suite(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=2)
+    assert report["pass"] and "cube[n=2]" in [c["name"] for c in report["checks"]]
+    assert not outside, f"{len(outside)} AlgebraElement products outside evaluate"
 
 
 def _strip_timing(report):

@@ -22,7 +22,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import _insert, _reduce, _times_t, t_action, t_word_rank
+from quatbraid.intspan import _insert, _reduce, letter, t_action, t_word_rank
 from quatbraid.scalar import ONE, Scalar, ZETA
 
 
@@ -211,10 +211,13 @@ def test_t_word_rank_matches_sympy(n):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_integer_t_action_matches_sign_algebra(data):
-    # s_i = c T_i, so vec T_i must equal (vec * s_i) / c on every word, one
-    # vector at a time and for several rows at once.
+    # s_i = c T_i and s_i^-1 = c' (2 - T_i) with c = zeta^2/2, c' = zeta^4/2, so
+    # letter +i (-i) must equal (vec * s_i^(+-1)) / c (or / c') on every word,
+    # on either side, one vector at a time and for several rows at once.
     n = data.draw(st.integers(2, 5), label="n")
     i = data.draw(st.integers(1, n - 1), label="i")
+    a = data.draw(st.sampled_from([i, -i]), label="a")
+    left = data.draw(st.booleans(), label="left")
     rows = data.draw(st.integers(1, 3), label="rows")
     size = word_count(n)
     entries = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
@@ -223,11 +226,16 @@ def test_integer_t_action_matches_sign_algebra(data):
     def element(v):
         return AlgebraElement(n, {Word.from_index(n, x): Scalar.of(int(c)) for x, c in enumerate(v)})
 
-    products = _times_t(matrix, n, i)
+    if a > 0:
+        gen, coeff = braid_generator(n, i), S_COEFF  # zeta^2/2
+    else:
+        gen, coeff = braid_generator_inverse(n, i), ZETA**4 * HALF
+    products = letter(matrix, n, a, left)
     assert products.shape == matrix.shape
     for vec, prod in zip(matrix, products):
-        assert element(_times_t(vec, n, i)) == element(prod)
-        assert element(prod) == (element(vec) * braid_generator(n, i)).scale(S_COEFF.inverse())
+        assert element(letter(vec, n, a, left)) == element(prod)
+        want = gen * element(vec) if left else element(vec) * gen
+        assert element(prod) == want.scale(coeff.inverse())
 
 
 @pytest.mark.parametrize("n, samples", [(6, None), (7, 300), (8, 300)])
@@ -264,9 +272,11 @@ def test_reduce_with_non_unit_pivots():
 def test_closure_overflow_guard():
     big = np.array([[1 << 31, 1, 0, 0], [0, 1, 0, 1]], dtype=np.int64)
     unit = np.eye(4, dtype=np.int64)[:1]
-    # the matrix product by T_i, and the batched reduction of its input
+    # either letter on either side, and the batched reduction of its input
     with pytest.raises(OverflowError):
-        _times_t(big, 2, 1)
+        letter(big, 2, 1)
+    with pytest.raises(OverflowError):
+        letter(big, 2, -1, left=True)
     with pytest.raises(OverflowError):
         _reduce(big, unit, np.array([0]))
     with pytest.raises(OverflowError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatbraid.algebra import AlgebraElement, Word, center, word_count
-from quatbraid import image_group
+from quatbraid import image_group, intspan
 from quatbraid.hecke import S_COEFF, braid_generator, braid_generator_inverse
 from quatbraid.image_group import (
     EnumerationCapExceeded,
@@ -114,7 +114,7 @@ def test_corrupted_t_table_is_caught(monkeypatch):
             signs[1, 0] = -signs[1, 0]
         return sources, signs
 
-    monkeypatch.setattr(image_group, "t_action", corrupted)
+    monkeypatch.setattr(intspan, "t_action", corrupted)
     with pytest.raises(NotASignedWordError, match="conjugate of"):
         conjugation_action(1, 3)
 
