@@ -255,7 +255,7 @@ def run_suite(
             check(f"group[n={n}]", "terminating BFS", f"cap {exc.cap} exceeded", inconclusive=True)
             inconclusive = True
             continue
-        check(f"group-terminates[n={n}]", True, res["conclusive"])
+        check(f"group-terminates[n={n}]", True, res["conclusive"], levelSizes=res["levelSizes"])
         check(f"generator-orders[n={n}]", [3] * (n - 1), res["generatorOrders"])
         if n == 5:
             check("projective-order[n=5]", 25920, res["projectiveOrder"])

@@ -7,8 +7,9 @@ modulo the central kernel of the action; its order and the order of its own
 center are what the finiteness statement predicts.
 
 The closure is a breadth-first search that handles one BFS level at a time.
-An element is a row of signed codes 2*target + (sign < 0), one per word, so
-composing every row of a level with a generator is one numpy indexing step.
+An element is a row of signed codes 2*target + (sign < 0), one per word.
+Each generator table is indexed by signed code, signed[2x + s] =
+table[x] ^ s, so composing a generator after a block of rows is one gather.
 Rows are told apart by their codes at the 2(n-1) words u_i, v_i alone: every
 element is a composition of conjugations by units of the algebra, hence an
 algebra automorphism, and the u_i, v_i generate the algebra, so their images
@@ -19,6 +20,14 @@ the generators (24 of the 256 words at n = 5).  Each element also records
 the generator and parent it came from, and the full row of a central
 element is composed from the generator tables along that path to be
 checked on every word.
+
+A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
+for n <= MAX_N = 5 the targets of a key are the 8 bytes of one uint64 and
+its signs those of a second.  New elements are found by one sort of the
+target words.  Every pair of rows the sort merges is checked to agree in
+its sign word too; a pair that does not would be an element that changes
+signs only, a nontrivial sign kernel, and raises RuntimeError.  So the
+result is that of comparing whole signed codes.
 
 The conjugation action and the left-regular matrices both come from the
 integer letters T_i and 2 - T_i of `intspan.letter`.  The left-regular
@@ -65,7 +74,7 @@ class SignedPermutation:
         """self after other: x -> self(other(x)), signs multiplying along the way."""
         if self.n != other.n:
             raise ValueError("strand mismatch")
-        return SignedPermutation(self.n, _after(self.codes, other.codes))
+        return SignedPermutation(self.n, _after(_signed(self.codes), other.codes))
 
     def inverse(self) -> SignedPermutation:
         inv = np.empty_like(self.codes)
@@ -118,7 +127,8 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     return SignedPermutation(n, (2 * target + (coeff < 0)).astype(np.uint16))
 
 
-# The default cap on the elements a group enumeration may find, and the largest n it supports.
+# The default cap on the elements a group enumeration may find, and the largest n it
+# supports: the BFS packs a key's targets into one byte each of one uint64.
 MAX_ELEMENTS, MAX_N = 2_000_000, 5
 
 
@@ -137,9 +147,14 @@ def _generator_words(n: int) -> np.ndarray:
     )
 
 
-def _after(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The element with code row `table` applied to signed codes: signs add mod 2."""
-    return table[codes >> 1] ^ (codes & 1)
+def _signed(table: np.ndarray) -> np.ndarray:
+    """The code row `table` indexed by signed code: signed[2*x + s] = table[x] ^ s."""
+    return (table[:, None] ^ np.array([0, 1], dtype=table.dtype)).ravel()
+
+
+def _after(signed: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The element with signed table `signed` applied after the signed codes `codes`."""
+    return np.take(signed, codes, out=out)
 
 
 def _columns(actions: list[np.ndarray], base: np.ndarray) -> np.ndarray:
@@ -148,45 +163,64 @@ def _columns(actions: list[np.ndarray], base: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount(np.concatenate([base] + [a[base] >> 1 for a in actions])))
 
 
-def _first_new_rows(keys: np.ndarray, known: int) -> np.ndarray:
-    """Sorted positions, counted from `known`, of the first copy of each row of
-    keys[known:] that equals no row of keys[:known]."""
-    order = np.lexsort(keys.T[::-1])  # stable: equal rows keep their order
-    ranked = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    is_first = np.zeros(len(order), dtype=bool)
-    is_first[order[first]] = True
-    return np.flatnonzero(is_first[known:])
+def _pack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key row of at most 8 signed codes as two uint64s, one byte per code:
+    the targets code >> 1 (below 256 for n <= MAX_N) and the signs code & 1."""
+    packed = np.zeros((2, len(keys), 8), dtype=np.uint8)
+    packed[0, :, : keys.shape[1]] = keys >> 1
+    packed[1, :, : keys.shape[1]] = keys & 1
+    targets, signs = packed.view(np.uint64)[:, :, 0]
+    return targets, signs
 
 
-# links[L-1] = (gen, parent): row k of BFS level L is tables[gen[k]] after row parent[k] of level L-1.
+def _first_new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.ndarray:
+    """Sorted positions, counted from `known`, of the first copy of each row
+    of targets[known:] that equals no row of targets[:known].  Raises
+    RuntimeError if two rows with equal targets differ in their signs."""
+    order = np.argsort(targets)
+    ranked = targets[order]
+    merged = ranked[1:] == ranked[:-1]
+    ranked_signs = signs[order]
+    if (ranked_signs[1:] != ranked_signs[:-1])[merged].any():
+        raise RuntimeError("sign kernel: two elements agree on every target but not on every sign")
+    starts = np.flatnonzero(np.concatenate([[True], ~merged]))
+    # the smallest position in each run of equal rows is its first copy
+    first = np.minimum.reduceat(order, starts)
+    return np.sort(first[first >= known]) - known
+
+
+# links[L-1] = (gen, parent): row k of BFS level L is signed[gen[k]] after row parent[k] of level L-1.
 Links = list[tuple[np.ndarray, np.ndarray]]
 
 
 def _bfs_levels(
-    tables: list[np.ndarray], columns: np.ndarray, base: np.ndarray, cap: int
+    signed: list[np.ndarray], columns: np.ndarray, base: np.ndarray, cap: int
 ) -> Iterator[tuple[np.ndarray, Links]]:
-    """The closure of the code rows `tables`, one BFS level (distance from 1) at a time.
+    """The closure of the signed tables `signed`, one BFS level (distance from 1) at a time.
 
     Yields each level's rows at the words `columns` only, with the links of
     the levels so far.  Rows are keyed on their codes at the words `base`.
-    tables is closed under inverses, so every neighbour of level L lies in
-    level L-1, L or L+1: new rows are told apart from the last two levels only.
-    Raises EnumerationCapExceeded as soon as more than cap elements are found,
-    before their rows are built.
+    The tables are closed under inverses, so every neighbour of level L lies
+    in level L-1, L or L+1: new rows are told apart from the last two levels
+    only.  Raises EnumerationCapExceeded as soon as more than cap elements
+    are found, before their rows are built.
     """
     key_pos = np.searchsorted(columns, base)
     level = 2 * columns[None, :].astype(np.uint16)
     keys = level[:, key_pos]
-    last_keys = keys[:0]
+    # the packed keys of the last two levels
+    known_targets, known_signs = _pack(keys)
     links: Links = []
     found = 1
     while True:
         yield level, links
-        candidates = np.concatenate([_after(t, keys) for t in tables])
-        known = len(last_keys) + len(keys)
-        fresh = _first_new_rows(np.concatenate([last_keys, keys, candidates]), known)
+        candidates = np.empty((len(signed),) + keys.shape, dtype=np.uint16)
+        for table, block in zip(signed, candidates):
+            _after(table, keys, out=block)
+        targets, signs = _pack(candidates.reshape(-1, keys.shape[1]))
+        fresh = _first_new_rows(
+            np.concatenate([known_targets, targets]), np.concatenate([known_signs, signs]), len(known_targets)
+        )
         if not fresh.size:
             return
         found += len(fresh)
@@ -194,41 +228,48 @@ def _bfs_levels(
             raise EnumerationCapExceeded(cap, cap + 1)
         # fresh is sorted, so gen is too: the rows come out in the order of fresh
         gen, parent = np.divmod(fresh, len(level))
-        level = np.concatenate([_after(t, level[parent[gen == g]]) for g, t in enumerate(tables)])
+        level = np.concatenate([_after(t, level[parent[gen == g]]) for g, t in enumerate(signed)])
         links.append((gen, parent))
-        last_keys, keys = keys, level[:, key_pos]
+        known_targets = np.concatenate([known_targets[-len(keys) :], targets[fresh]])
+        known_signs = np.concatenate([known_signs[-len(keys) :], signs[fresh]])
+        keys = level[:, key_pos]
 
 
-def _full_row(tables: list[np.ndarray], links: Links, k: int) -> np.ndarray:
+def _full_row(signed: list[np.ndarray], links: Links, k: int) -> np.ndarray:
     """The code row on every word of element k of the last level in links,
     composed from the generator tables along its path back to the identity."""
-    row = 2 * np.arange(len(tables[0]), dtype=np.uint16)
+    path = []
     for gen, parent in reversed(links):
-        row = _after(row, tables[gen[k]])
+        path.append(gen[k])
         k = parent[k]
+    row = 2 * np.arange(len(signed[0]) // 2, dtype=np.uint16)
+    for g in reversed(path):
+        row = _after(signed[g], row)
     return row
 
 
 def _central_rows(
-    rows: np.ndarray, links: Links, tables: list[np.ndarray], actions: list[np.ndarray],
+    rows: np.ndarray, links: Links, signed: list[np.ndarray], actions: list[np.ndarray],
     columns: np.ndarray, base: np.ndarray,
 ) -> list[np.ndarray]:
     """The full code rows of the elements of one level that commute with every action.
 
-    el.a and a.el are compared on the words u_i, v_i for all rows at once;
-    el.a reads el at the words a[base] >> 1, which are in `columns`.  The
-    full row of each element that passes is rebuilt from `links` and checked
-    on every word.
+    `actions` are the signed tables of the generators.  el.a and a.el are
+    compared on one word u_i, v_i and one action at a time, on the rows that
+    passed every comparison before; el.a reads el at the word a(x) >> 1,
+    which is in `columns`.  The full row of each element that passes is
+    rebuilt from `links` and checked on every word.
     """
-    keys = rows[:, np.searchsorted(columns, base)]
-    hit = np.ones(len(rows), dtype=bool)
+    key_pos = np.searchsorted(columns, base)
+    alive = np.arange(len(rows))
     for a in actions:
-        on_base = a[base]
-        el_a = rows[:, np.searchsorted(columns, on_base >> 1)] ^ (on_base & 1)
-        hit &= (el_a == _after(a, keys)).all(axis=1)
-    central = [_full_row(tables, links, k) for k in np.flatnonzero(hit)]
+        on_base = a[2 * base]
+        for at, read, sign in zip(key_pos, np.searchsorted(columns, on_base >> 1), on_base & 1):
+            alive = alive[(rows[alive, read] ^ sign) == _after(a, rows[alive, at])]
+    central = [_full_row(signed, links, k) for k in alive]
     for row in central:
-        if not all(np.array_equal(_after(row, a), _after(a, row)) for a in actions):
+        # a[::2] is the unsigned code row of a
+        if not all(np.array_equal(_after(_signed(row), a[::2]), _after(a, row)) for a in actions):
             raise RuntimeError("element commutes on u_i, v_i but not on every word")
     return central
 
@@ -248,14 +289,14 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements}")
     actions = [conjugation_action(i, n) for i in range(1, n)]
     codes = [a.codes for a in actions]
-    tables = codes + [a.inverse().codes for a in actions]
+    signed = [_signed(t) for t in codes + [a.inverse().codes for a in actions]]
     base = _generator_words(n)
     columns = _columns(codes, base)
     sizes = []
     central = 0
-    for level, links in _bfs_levels(tables, columns, base, max_elements):
+    for level, links in _bfs_levels(signed, columns, base, max_elements):
         sizes.append(len(level))
-        central += len(_central_rows(level, links, tables, codes, columns, base))
+        central += len(_central_rows(level, links, signed, signed[: n - 1], columns, base))
     order = sum(sizes)
     return {
         "n": n,

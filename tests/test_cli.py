@@ -351,7 +351,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def test_reports_match_saved_reports(runner, tmp_path):
     # verify --n 6 and the default suite report, saved while the relation and
-    # Markov checks still ran on AlgebraElement; only the timing may differ
+    # Markov checks still ran on AlgebraElement (the suite's group-terminates
+    # entries have carried levelSizes since); only the timing may differ
     result = runner.invoke(cli, ["verify", "--n", "6"])
     assert result.exit_code == 0
     assert result.output == (DATA / "verify_n6.json").read_text()

@@ -158,12 +158,15 @@ def _narrow_closure(n):
     full rows of the central elements."""
     codes = [conjugation_action(i, n).codes for i in range(1, n)]
     tables = codes + [SignedPermutation(n, c).inverse().codes for c in codes]
+    signed = [image_group._signed(t) for t in tables]
     base = image_group._generator_words(n)
     columns = image_group._columns(codes, base)
     rows, central = [], set()
-    for level, links in image_group._bfs_levels(tables, columns, base, image_group.MAX_ELEMENTS):
-        rows += [(row, image_group._full_row(tables, links, k)) for k, row in enumerate(level)]
-        central |= {r.tobytes() for r in image_group._central_rows(level, links, tables, codes, columns, base)}
+    for level, links in image_group._bfs_levels(signed, columns, base, image_group.MAX_ELEMENTS):
+        rows += [(row, image_group._full_row(signed, links, k)) for k, row in enumerate(level)]
+        central |= {
+            r.tobytes() for r in image_group._central_rows(level, links, signed, signed[: n - 1], columns, base)
+        }
     return columns, rows, central
 
 
@@ -200,15 +203,50 @@ def test_cap_stops_before_full_rows_of_the_over_cap_level(monkeypatch, n, cap):
     built_rows = []
     after = image_group._after
 
-    def spy(table, codes):
+    def spy(table, codes, out=None):
         if codes.ndim == 2 and codes.shape[1] == width:
             built_rows.append(len(codes))
-        return after(table, codes)
+        return after(table, codes, out)
 
     monkeypatch.setattr(image_group, "_after", spy)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_group(n, max_elements=cap)
     assert sum(built_rows) < cap
+    # the levels below the cap were built, so the spy sees the level builds
+    assert built_rows or cap == 1
+
+
+def _first_new_rows_reference(keys, known):
+    """Oracle: the first copy of each row of keys[known:] not in keys[:known], on whole signed codes."""
+    seen = {row.tobytes() for row in keys[:known]}
+    fresh = []
+    for k in range(known, len(keys)):
+        if keys[k].tobytes() not in seen:
+            seen.add(keys[k].tobytes())
+            fresh.append(k - known)
+    return fresh
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_first_new_rows_matches_first_copy_reference(width):
+    rng = np.random.default_rng(width)
+    pool = rng.integers(0, 512, size=(40, width), dtype=np.uint16)
+    pool[:4, 0] = 511  # target 255, the largest one byte holds
+    # rows that differ from another in one target only
+    pool[20:] = pool[:20]
+    pool[np.arange(20, 40), rng.integers(width, size=20)] ^= 2
+    assert len({row.tobytes() for row in pool >> 1}) == len(pool)
+    keys = pool[rng.integers(len(pool), size=600)]
+    for known in (0, 1, 150):  # 150 known rows hold repeats of one another
+        got = image_group._first_new_rows(*image_group._pack(keys), known)
+        assert got.tolist() == _first_new_rows_reference(keys, known)
+
+
+@pytest.mark.parametrize("known", [0, 1, 2])
+def test_first_new_rows_rejects_rows_that_differ_in_signs_only(known):
+    keys = np.array([[2, 4, 6, 8], [3, 4, 6, 8]], dtype=np.uint16)
+    with pytest.raises(RuntimeError, match="not on every sign"):
+        image_group._first_new_rows(*image_group._pack(keys), known)
 
 
 def test_enumerate_range_check():
