@@ -143,7 +143,7 @@ def group(n, max_elements):
 @click.option("--dot", "dot_out", default=None, help="write the top-cut graph as DOT")
 def bratteli(k, l, levels, reduced, dot_out):
     """Level structure of the admissible-diagram Bratteli diagram."""
-    if dot_out and levels < 2:
+    if dot_out is not None and levels < 2:
         raise ValueError(f"--dot needs at least two levels, got --levels {levels}")
     lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)
     report = {
@@ -159,7 +159,7 @@ def bratteli(k, l, levels, reduced, dot_out):
             for level in lv
         ],
     }
-    if dot_out:
+    if dot_out is not None:
         nodes, edges = diagrams.principal_graph_cut(k, l, (levels - 1, levels), reduced=reduced)
         with open(dot_out, "w") as fh:
             fh.write(diagrams.to_dot(nodes, edges) + "\n")
@@ -208,12 +208,12 @@ def run_suite(
         ("max_group_elements", 1, None),
     ]:
         _check_range(name, locals()[name], low, high)
-    links = linktable.load_file(link_table_path) if link_table_path else linktable.load_bundled()
+    links = linktable.load_file(link_table_path) if link_table_path is not None else linktable.load_bundled()
     for index, entry in enumerate(links):
         try:
             braided_span(entry.braid)
         except ValueError as exc:
-            source = link_table_path or "data/links.json"
+            source = "data/links.json" if link_table_path is None else link_table_path
             raise ValueError(f"{source}: link entry {index} ({entry.name!r}): {exc}") from None
     t0 = time.perf_counter()
     checks: list[dict] = []

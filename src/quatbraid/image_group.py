@@ -7,19 +7,17 @@ modulo the central kernel of the action; its order and the order of its own
 center are what the finiteness statement predicts.
 
 The closure is a breadth-first search that handles one BFS level at a time.
-An element is a row of signed codes 2*target + (sign < 0), one per word.
-Each generator table is indexed by signed code, signed[2x + s] =
-table[x] ^ s, so composing a generator after a block of rows is one gather.
-Rows are told apart by their codes at the 2(n-1) words u_i, v_i alone: every
-element is a composition of conjugations by units of the algebra, hence an
-algebra automorphism, and the u_i, v_i generate the algebra, so their images
-fix the whole row.  Applying a generator after an element reads each word's
-code at that same word, so the BFS keeps each element's codes only at the
-words the key and the central test read: u_i, v_i and their images under
-the generators (24 of the 256 words at n = 5).  Each element also records
-the generator and parent it came from, and the full row of a central
-element is composed from the generator tables along that path to be
-checked on every word.
+An element is a row of signed codes 2*target + (sign < 0), one per word, and
+each generator table is indexed by signed code, signed[2x + s] = table[x] ^ s.
+Every element is a composition of conjugations by units of the algebra, hence
+an algebra automorphism, and the u_i, v_i generate the algebra, so its codes
+at those 2(n-1) words, its key, fix it.  The BFS keeps key rows only: applying
+a generator after an element reads each word's code at that same word, so the
+next level's keys are one table gather per level.  The central test compares
+a.el with el.a on each u_i, v_i: el.a(x) = el(+-w), w a product of u_j, v_j,
+is on the same premise the product of el's key codes at those words by the
+word sign rule (`_mul_codes`).  Each central hit is still rebuilt along its
+BFS path (the generator and parent of each element) and checked on every word.
 
 A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
 for n <= MAX_N = 5 the targets of a key are the 8 bytes of one uint64 and
@@ -42,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from quatbraid.algebra import Word, center, word_count
+from quatbraid.algebra import Word, center, index_masks, sign_bits, word_count
 from quatbraid.hecke import S_COEFF
 from quatbraid.intspan import exact_determinant, letter
 from quatbraid.scalar import Scalar
@@ -152,15 +150,16 @@ def _signed(table: np.ndarray) -> np.ndarray:
     return (table[:, None] ^ np.array([0, 1], dtype=table.dtype)).ravel()
 
 
-def _after(signed: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The element with signed table `signed` applied after the signed codes `codes`."""
-    return np.take(signed, codes, out=out)
+def _after(signed: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The elements with signed tables `signed` (one, or stacked) applied after the signed codes `codes`."""
+    return np.take(signed, codes, axis=-1)
 
 
-def _columns(actions: list[np.ndarray], base: np.ndarray) -> np.ndarray:
-    """The sorted words whose codes the BFS keeps: `base` and every a[base] >> 1."""
-    # bincount, not np.unique, which imports numpy.ma (about 1.4 MB) on first use
-    return np.flatnonzero(np.bincount(np.concatenate([base] + [a[base] >> 1 for a in actions])))
+def _mul_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Signed codes of the products of the words with signed codes a and b (arrays), by the sign rule."""
+    ta, tb = a >> 1, b >> 1
+    odd = np.bitwise_count(sign_bits(*index_masks(n, ta), *index_masks(n, tb))) & 1
+    return ((ta ^ tb) << 1) | ((a ^ b ^ odd) & 1)
 
 
 def _pack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,31 +192,24 @@ def _first_new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.nd
 Links = list[tuple[np.ndarray, np.ndarray]]
 
 
-def _bfs_levels(
-    signed: list[np.ndarray], columns: np.ndarray, base: np.ndarray, cap: int
-) -> Iterator[tuple[np.ndarray, Links]]:
-    """The closure of the signed tables `signed`, one BFS level (distance from 1) at a time.
+def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tuple[np.ndarray, Links]]:
+    """The closure of the stacked signed tables `signed`, one BFS level (distance from 1) at a time.
 
-    Yields each level's rows at the words `columns` only, with the links of
-    the levels so far.  Rows are keyed on their codes at the words `base`.
-    The tables are closed under inverses, so every neighbour of level L lies
-    in level L-1, L or L+1: new rows are told apart from the last two levels
-    only.  Raises EnumerationCapExceeded as soon as more than cap elements
-    are found, before their rows are built.
+    Yields each level's key rows, the codes at the words `base`, with the
+    links of the levels so far.  The tables are closed under inverses, so
+    every neighbour of level L lies in level L-1, L or L+1: new rows are told
+    apart from the last two levels only.  Raises EnumerationCapExceeded as
+    soon as more than cap elements are found, before their level is yielded.
     """
-    key_pos = np.searchsorted(columns, base)
-    level = 2 * columns[None, :].astype(np.uint16)
-    keys = level[:, key_pos]
+    keys = 2 * base[None, :].astype(np.uint16)
     # the packed keys of the last two levels
     known_targets, known_signs = _pack(keys)
     links: Links = []
     found = 1
     while True:
-        yield level, links
-        candidates = np.empty((len(signed),) + keys.shape, dtype=np.uint16)
-        for table, block in zip(signed, candidates):
-            _after(table, keys, out=block)
-        targets, signs = _pack(candidates.reshape(-1, keys.shape[1]))
+        yield keys, links
+        candidates = _after(signed, keys).reshape(-1, keys.shape[1])
+        targets, signs = _pack(candidates)
         fresh = _first_new_rows(
             np.concatenate([known_targets, targets]), np.concatenate([known_signs, signs]), len(known_targets)
         )
@@ -226,16 +218,13 @@ def _bfs_levels(
         found += len(fresh)
         if found > cap:
             raise EnumerationCapExceeded(cap, cap + 1)
-        # fresh is sorted, so gen is too: the rows come out in the order of fresh
-        gen, parent = np.divmod(fresh, len(level))
-        level = np.concatenate([_after(t, level[parent[gen == g]]) for g, t in enumerate(signed)])
-        links.append((gen, parent))
+        links.append(np.divmod(fresh, len(keys)))
         known_targets = np.concatenate([known_targets[-len(keys) :], targets[fresh]])
         known_signs = np.concatenate([known_signs[-len(keys) :], signs[fresh]])
-        keys = level[:, key_pos]
+        keys = candidates[fresh]
 
 
-def _full_row(signed: list[np.ndarray], links: Links, k: int) -> np.ndarray:
+def _full_row(signed: np.ndarray, links: Links, k: int) -> np.ndarray:
     """The code row on every word of element k of the last level in links,
     composed from the generator tables along its path back to the identity."""
     path = []
@@ -248,28 +237,38 @@ def _full_row(signed: list[np.ndarray], links: Links, k: int) -> np.ndarray:
     return row
 
 
-def _central_rows(
-    rows: np.ndarray, links: Links, signed: list[np.ndarray], actions: list[np.ndarray],
-    columns: np.ndarray, base: np.ndarray,
-) -> list[np.ndarray]:
+def _central_checks(actions: np.ndarray, base: np.ndarray) -> list[tuple]:
+    """(a, k, sign, factors) for each signed table a and key word x = base[k]:
+    a(x) = (-1)^sign times the product of the words base[factors], in base
+    order.  Each key word is one bit of the word index, so factors are those
+    whose bit a(x) >> 1 has.  The checks with one factor, no product, come first."""
+    checks = [
+        (a, k, code & 1, np.flatnonzero(base & (code >> 1))) for a in actions for k, code in enumerate(a[2 * base])
+    ]
+    return sorted(checks, key=lambda check: len(check[3]))
+
+
+def _central_rows(keys: np.ndarray, links: Links, signed: np.ndarray, checks: list[tuple]) -> list[np.ndarray]:
     """The full code rows of the elements of one level that commute with every action.
 
-    `actions` are the signed tables of the generators.  el.a and a.el are
-    compared on one word u_i, v_i and one action at a time, on the rows that
-    passed every comparison before; el.a reads el at the word a(x) >> 1,
-    which is in `columns`.  The full row of each element that passes is
-    rebuilt from `links` and checked on every word.
+    Each of `checks` (from `_central_checks`) compares a.el with el.a on one
+    word u_i, v_i and one action a, on the keys that passed every comparison
+    before; el.a is the product of the key codes at the factors.  The full
+    row of each element that passes is rebuilt from `links` and checked to
+    commute with every table of `signed` on every word.
     """
-    key_pos = np.searchsorted(columns, base)
-    alive = np.arange(len(rows))
-    for a in actions:
-        on_base = a[2 * base]
-        for at, read, sign in zip(key_pos, np.searchsorted(columns, on_base >> 1), on_base & 1):
-            alive = alive[(rows[alive, read] ^ sign) == _after(a, rows[alive, at])]
+    n = keys.shape[1] // 2 + 1
+    alive = np.arange(len(keys))
+    for a, k, sign, factors in checks:
+        rows = keys[alive]
+        el_a = rows[:, factors[0]]
+        for f in factors[1:]:
+            el_a = _mul_codes(el_a, rows[:, f], n)
+        alive = alive[(el_a ^ sign) == _after(a, rows[:, k])]
     central = [_full_row(signed, links, k) for k in alive]
     for row in central:
         # a[::2] is the unsigned code row of a
-        if not all(np.array_equal(_after(_signed(row), a[::2]), _after(a, row)) for a in actions):
+        if not all(np.array_equal(_after(_signed(row), a[::2]), _after(a, row)) for a in signed):
             raise RuntimeError("element commutes on u_i, v_i but not on every word")
     return central
 
@@ -288,15 +287,14 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
     if max_elements < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements}")
     actions = [conjugation_action(i, n) for i in range(1, n)]
-    codes = [a.codes for a in actions]
-    signed = [_signed(t) for t in codes + [a.inverse().codes for a in actions]]
+    signed = np.stack([_signed(a.codes) for a in actions + [a.inverse() for a in actions]])
     base = _generator_words(n)
-    columns = _columns(codes, base)
+    checks = _central_checks(signed[: n - 1], base)
     sizes = []
     central = 0
-    for level, links in _bfs_levels(signed, columns, base, max_elements):
-        sizes.append(len(level))
-        central += len(_central_rows(level, links, signed, signed[: n - 1], columns, base))
+    for keys, links in _bfs_levels(signed, base, max_elements):
+        sizes.append(len(keys))
+        central += len(_central_rows(keys, links, signed, checks))
     order = sum(sizes)
     return {
         "n": n,
@@ -314,10 +312,10 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
 def order_formula_estimate(n: int) -> int:
     """(1/3) * 2^((n-1)(n-2)/2) * prod_{i=1}^{n-1} (2^i - (-1)^i), rounded.
 
-    It equals the enumerated projective order for n <= 5 only.  At n = 6 the
-    order of the image, found by Schreier-Sims on the signed points, is
-    19,906,560 with a trivial centre, against 13,685,760 here (which has a
-    factor 11 the measured order lacks); n = 6 has a 4-dimensional centre.
+    It equals the enumerated projective order at n = 2, 4 and 5, not at n = 3
+    (6 against 12).  At n = 6 the order of the image, found by Schreier-Sims
+    on the signed points, is 19,906,560 with a trivial centre, against
+    13,685,760 here (with a factor 11 it lacks); n = 6 has a 4-dimensional centre.
     """
     prod = 1
     for i in range(1, n):

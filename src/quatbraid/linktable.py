@@ -57,7 +57,8 @@ def load_bundled() -> list[LinkEntry]:
 def read_json(path: str | Path):
     """The parsed JSON file at path; the one reader of every JSON file a command is given."""
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as fh:  # not Path(path), which reads the path "" as "."
+            return json.load(fh)
     except ValueError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 

@@ -106,6 +106,9 @@ def test_invariant_bad_letter(runner):
         ["bratteli", "--levels", "3", "--dot", {"missing": "dir/graph.dot"}],
         ["verify", "--n", "3", "--json-out", {"missing": "dir/report.json"}],
         ["suite", "--dim-n-max", "0", "--group-n-max", "0", "--markov-braids", "0"],
+        ["suite", "--link-table", ""],
+        ["suite", "--config", {"json": '{"link_table_path": ""}'}],
+        ["bratteli", "--dot", ""],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatbraid.algebra import AlgebraElement, Word, center, word_count
+from quatbraid.algebra import AlgebraElement, Word, center, mul_words, word_count
 from quatbraid import image_group, intspan
 from quatbraid.hecke import S_COEFF, braid_generator, braid_generator_inverse
 from quatbraid.image_group import (
@@ -153,32 +153,47 @@ def test_enumeration_matches_full_row_closure(n):
     assert (res["imageOrder"], res["centerOrder"]) == (len(els), len(central))
 
 
-def _narrow_closure(n):
-    """The BFS rows at its columns, the full row rebuilt for each, and the
-    full rows of the central elements."""
+def _key_closure(n):
+    """The BFS key words, the key rows, the full row rebuilt for each, and
+    the full rows of the central elements."""
     codes = [conjugation_action(i, n).codes for i in range(1, n)]
     tables = codes + [SignedPermutation(n, c).inverse().codes for c in codes]
-    signed = [image_group._signed(t) for t in tables]
+    signed = np.stack([image_group._signed(t) for t in tables])
     base = image_group._generator_words(n)
-    columns = image_group._columns(codes, base)
+    checks = image_group._central_checks(signed[: n - 1], base)
     rows, central = [], set()
-    for level, links in image_group._bfs_levels(signed, columns, base, image_group.MAX_ELEMENTS):
-        rows += [(row, image_group._full_row(signed, links, k)) for k, row in enumerate(level)]
-        central |= {
-            r.tobytes() for r in image_group._central_rows(level, links, signed, signed[: n - 1], columns, base)
-        }
-    return columns, rows, central
+    for keys, links in image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS):
+        rows += [(key, image_group._full_row(signed, links, k)) for k, key in enumerate(keys)]
+        central |= {r.tobytes() for r in image_group._central_rows(keys, links, signed, checks)}
+    return base, rows, central
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_narrow_rows_match_full_row_closure(n):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_key_rows_match_full_row_closure(n):
     els, central = _closure_by_compose(n)
-    columns, rows, central_rows = _narrow_closure(n)
-    assert len(columns) < word_count(n)
-    assert {row.tobytes() for row, _ in rows} == {el.codes[columns].tobytes() for el in els}
-    assert {full.tobytes() for _, full in rows} == {el.codes.tobytes() for el in els}
-    assert all(np.array_equal(row, full[columns]) for row, full in rows)
+    base, rows, central_rows = _key_closure(n)
+    assert len(base) == 2 * (n - 1)
+    assert len(rows) == len(els)
+    assert {key.tobytes() for key, _ in rows} == {el.codes[base].tobytes() for el in els}
+    full_els = {el.codes.tobytes() for el in els}
+    assert all(full.tobytes() in full_els and np.array_equal(key, full[base]) for key, full in rows)
     assert central_rows == {el.codes.tobytes() for el in central}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_mul_codes_matches_mul_words(n):
+    # every pair of signed words at n = 3, sampled pairs at n = 5
+    codes = np.arange(2 * word_count(n), dtype=np.uint16)
+    if n == 3:
+        a, b = (c.ravel() for c in np.meshgrid(codes, codes))
+    else:
+        a, b = np.random.default_rng(n).choice(codes, size=(2, 3000))
+    got = image_group._mul_codes(a, b, n)
+    assert got.dtype == np.uint16
+    for x, y, z in zip(a.tolist(), b.tolist(), got.tolist()):
+        sign, w = mul_words(Word.from_index(n, x >> 1), Word.from_index(n, y >> 1))
+        negative = (sign < 0) ^ (x & 1) ^ (y & 1)
+        assert z == 2 * w.index + negative, (x, y)
 
 
 def test_level_sizes_n5():
@@ -195,25 +210,21 @@ def test_enumeration_cap():
 
 @pytest.mark.parametrize("n, cap", [(3, 1), (4, 100), (5, 1000)])
 def test_cap_stops_before_full_rows_of_the_over_cap_level(monkeypatch, n, cap):
-    # each level's rows are gathered at the BFS columns; the level that
-    # passes the cap must raise before any of its rows are built
-    actions = [conjugation_action(i, n).codes for i in range(1, n)]
-    width = len(image_group._columns(actions, image_group._generator_words(n)))
-    assert width > 2 * (n - 1)  # wider than the key rows, which are gathered too
-    built_rows = []
-    after = image_group._after
+    # the central test, which rebuilds full rows, sees each level the BFS
+    # yields; the level that passes the cap must raise before it is yielded
+    seen_rows = []
+    central_rows = image_group._central_rows
 
-    def spy(table, codes, out=None):
-        if codes.ndim == 2 and codes.shape[1] == width:
-            built_rows.append(len(codes))
-        return after(table, codes, out)
+    def spy(keys, *args):
+        seen_rows.append(len(keys))
+        return central_rows(keys, *args)
 
-    monkeypatch.setattr(image_group, "_after", spy)
+    monkeypatch.setattr(image_group, "_central_rows", spy)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_group(n, max_elements=cap)
-    assert sum(built_rows) < cap
-    # the levels below the cap were built, so the spy sees the level builds
-    assert built_rows or cap == 1
+    assert 0 < sum(seen_rows) <= cap
+    # the levels below the cap reach the central test
+    assert len(seen_rows) > 1 or cap == 1
 
 
 def _first_new_rows_reference(keys, known):
@@ -259,6 +270,10 @@ def test_enumerate_range_check():
 def test_formula_estimate_values():
     assert order_formula_estimate(4) == 216
     assert order_formula_estimate(5) == 25920
+    projective = {n: enumerate_group(n)["projectiveOrder"] for n in (2, 3, 4, 5)}
+    for n in (2, 4, 5):
+        assert order_formula_estimate(n) == projective[n]
+    assert (order_formula_estimate(3), projective[3]) == (6, 12)
 
 
 def test_left_regular_determinant_n2():
