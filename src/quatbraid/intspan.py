@@ -5,9 +5,13 @@ multiplication by it on either side is a sum of four signed permutations of
 the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
 algebra's sign rule).  s_i = (zeta^2/2) T_i and s_i^-1 = (zeta^4/2)(2 - T_i),
 so braid letter +i acts on integer vectors as T_i and -i as 2 - T_i; `letter`,
-the one integer form of a letter, applies the tables and holds the 2^31 guard.
-`t_word_trace` multiplies 1 by one letter at a time and reads off the
-identity coefficient; `braids.invariant` is built on it.
+the one integer form of a letter, applies the tables and holds the 2^31 guard;
+it reads every entry unless its caller passes a proven bound below 2^31.
+`t_word_trace` multiplies 1 by one letter at a time, divides out the common
+factors 2 and reads off the identity coefficient; `braids.invariant` is built
+on it.  It carries such a bound, times 4 per letter +i and times 6 per letter
+-i (|v T_i| <= 4 max|v|, |2v - v T_i| <= 6 max|v|), shifted with the vector,
+and reads the vector only when the bound reaches 2^31.
 Closing {1} under right multiplication by every T_i, one word length per round
 and one int64 matrix product per block of a round, gives the Q-rank of all
 T-words exactly.  Both factors of every elementwise multiply are below 2^31,
@@ -56,14 +60,18 @@ def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
     return sources, signs
 
 
-def letter(vecs: np.ndarray, n: int, a: int, left: bool = False) -> np.ndarray:
+def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int | None = None) -> np.ndarray:
     """vecs T_i for braid letter a = +i and vecs (2 - T_i) for a = -i, on integer
     coefficient vectors over the word basis, one per row (T_i vecs and
     (2 - T_i) vecs when left is true).
 
     Raises OverflowError when an entry of vecs reaches 2^31, so no product wraps int64.
+    vecs is read for that check unless bound, a proven upper bound on max|vecs|
+    the caller carries, is below 2^31.  The result is at most 4 bound for +i
+    (four gathers with signs +-1) and 6 bound for -i.
     """
-    _check(_magnitude(vecs))
+    if bound is None or bound >= _ENTRY_LIMIT:
+        _check(_magnitude(vecs))
     sources, signs = t_action(n, abs(a), left)
     times_t = (signs * vecs[..., sources]).sum(axis=-2)
     return times_t if a > 0 else 2 * vecs - times_t
@@ -129,18 +137,28 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     and 2 - T_i (letter -i), multiplied on the right starting from 1.
 
     The vector is divided by every common factor 2 after each letter, so its
-    entries stay bounded over long words (the image group is finite).
+    entries stay bounded over long words (the image group is finite).  A bound
+    on max|vec|, times 4 per letter +i and 6 per letter -i, shifted with vec,
+    is carried, and vec is read for its exact max|vec| only when the bound
+    reaches 2^31, so `letter` raises OverflowError on the same letter as a
+    read before every letter would.
     """
-    vec = np.eye(1, word_count(n), Word.identity(n).index, dtype=np.int64)[0]
-    k = 0
+    one = Word.identity(n).index
+    vec = np.zeros(word_count(n), dtype=np.int64)
+    vec[one] = 1
+    k, bound = 0, 1
     for a in letters:
-        vec = letter(vec, n, a)
+        if bound >= _ENTRY_LIMIT:
+            bound = _magnitude(vec)
+        vec = letter(vec, n, a, bound=bound)
+        bound *= 4 if a > 0 else 6
         low = int(np.bitwise_or.reduce(vec))
         twos = (low & -low).bit_length() - 1
         if twos > 0:
             vec >>= twos
+            bound >>= twos
             k += twos
-    return int(vec[Word.identity(n).index]), k
+    return int(vec[one]), k
 
 
 def t_word_rank(n: int) -> int:

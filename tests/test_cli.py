@@ -9,9 +9,9 @@ from click.testing import CliRunner
 
 from quatbraid import braids, cli as cli_module, linktable
 from quatbraid.algebra import AlgebraElement
-from quatbraid.braids import BraidWord, markov_move_test, random_braid
+from quatbraid.braids import BraidWord, evaluate, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
-from quatbraid.scalar import ONE
+from quatbraid.scalar import ONE, Scalar, qpow
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def test_invariant_bad_letter(runner):
         ["group", "--n", "6"],
         ["group", "--n", "3", "--max", "0"],
         ["group", "--n", "3", "--max", "abc"],
-        ["invariant", "--strands", "3", "--word", "1 x 2"],
+        ["invariant", "--strands", "3", "--word", "1 x 2", {"error": "--word: 'x' is not an integer letter"}],
         ["invariant", "--strands", "3", "--word", "1 -3"],
         ["invariant", "--strands", "0", "--word", ""],
         ["invariant", "--strands", "40", "--word", "1 39"],
@@ -113,9 +113,13 @@ def test_invariant_bad_letter(runner):
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):
     # an argument {"json": text} stands for the path of a file holding text,
-    # {"missing": name} for a path under tmp_path that must stay absent
-    argv = []
+    # {"missing": name} for a path under tmp_path that must stay absent;
+    # {"error": message} is not an argument but the message the line must carry
+    argv, message = [], None
     for arg in args:
+        if isinstance(arg, dict) and "error" in arg:
+            message = arg["error"]
+            continue
         if isinstance(arg, dict) and "json" in arg:
             path = tmp_path / "input.json"
             path.write_text(arg["json"])
@@ -123,7 +127,9 @@ def test_bad_input_is_one_line_error(runner, tmp_path, args):
         elif isinstance(arg, dict):
             arg = str(tmp_path / arg["missing"])
         argv.append(arg)
-    _assert_one_line_error(runner.invoke(cli, argv))
+    result = runner.invoke(cli, argv)
+    _assert_one_line_error(result)
+    assert message is None or result.output == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] in ([], ["input.json"])
 
 
@@ -339,14 +345,23 @@ def _strip_timing(report):
 
 
 def test_invariant_phase_can_fail(monkeypatch):
-    # a value with the right magnitude and the wrong sign fails the phase check only
+    # a value with the right magnitude and the wrong sign fails the phase check only,
+    # and the failing entry alone carries the link's word as a reproducer
+    kwargs = dict(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=0)
+    phases = [c for c in run_suite(**kwargs)["checks"] if c["name"].startswith("invariant-phase[")]
+    assert phases and all(c["pass"] and "reproducer" not in c for c in phases)
+
     trefoil = next(e.braid for e in linktable.load_bundled() if e.name == "trefoil")
-    real = cli_module.invariant
-    monkeypatch.setattr(cli_module, "invariant", lambda b: -real(b) if b == trefoil else real(b))
-    report = run_suite(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=0)
-    checks = {c["name"]: c["pass"] for c in report["checks"]}
-    assert checks["invariant-magnitude[trefoil]"] and not checks["invariant-phase[trefoil]"]
-    assert [name for name, ok in checks.items() if not ok] == ["invariant-phase[trefoil]"]
+    real = braids.invariant
+    monkeypatch.setattr(braids, "invariant", lambda b: -real(b) if b == trefoil else real(b))
+    checks = {c["name"]: c for c in run_suite(**kwargs)["checks"]}
+    assert checks["invariant-magnitude[trefoil]"]["pass"] and not checks["invariant-phase[trefoil]"]["pass"]
+    assert [name for name, c in checks.items() if not c["pass"]] == ["invariant-phase[trefoil]"]
+    rep = checks["invariant-phase[trefoil]"]["reproducer"]
+    assert rep == {"link": "trefoil", "strands": trefoil.strands, "word": list(trefoil.letters)}
+    beta = BraidWord(rep["strands"], tuple(rep["word"]))
+    want = Scalar.of(2 ** (beta.strands - 1)) * qpow(-2 * beta.exponent_sum) * evaluate(beta).trace()
+    assert braids.invariant(beta) != want
 
 
 DATA = pathlib.Path(__file__).parent / "data"
