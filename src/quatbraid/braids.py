@@ -22,8 +22,21 @@ cancels: zeta^(-2e) c^p c'^m = zeta^(6m) / 2^L = 2^-L.  So
 where `intspan.t_word_trace` returns Tr(P) = 2^k t, applying each letter by
 `intspan.letter`, the package's one integer form of a letter.  The product
 lives on the strands the word braids, relabelled to 1..; each further strand
-is a split unknot and contributes its factor 2 through n.  `evaluate`, the image as an
-`AlgebraElement`, is the independent Q(zeta) route the tests compare against.
+is a split unknot and contributes its factor 2 through n.
+
+`closed_form` is the suite's second route to the same value:
+
+    I(beta) = (-1)^(c-1) (-2)^nu,
+
+with c = `components`, the cycles of the letters' transpositions, and
+nu = `cover.burau_nullity`, the F4-nullity of B(w) - I for the reduced Burau
+matrix at a cube root of unity w (row vectors, letter matrices multiplied left
+to right, -t = t, sigma_i^-1 the F4 inverse; when 3 | n, stabilized once
+first, since det(I - B(t)) = [n]_t Delta(t) (Birman 1974) and [n]_w = 0).  It
+has the shape of Lickorish-Millett's V_L(e^(i pi/3)) (1986).  It is a finding
+the tests pin on random words, not a theorem proved here.  `evaluate`, the
+image as an `AlgebraElement` over Q(zeta), is a third route that only the
+tests run.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quatbraid import intspan
+from quatbraid import cover, intspan
 from quatbraid.algebra import AlgebraElement
 from quatbraid.hecke import braid_generator, braid_generator_inverse
 from quatbraid.scalar import Scalar
@@ -102,6 +115,28 @@ def invariant(beta: BraidWord) -> Scalar:
     shift, braided = braided_span(beta)
     t, k = intspan.t_word_trace(braided, [a - shift if a > 0 else a + shift for a in beta.letters])
     return Scalar.of(t * Fraction(2) ** (beta.strands - 1 - len(beta.letters) + k))
+
+
+def components(beta: BraidWord) -> int:
+    """The number of components of the closure: the cycles of the letters' transpositions."""
+    perm = list(range(beta.strands))
+    for a in beta.letters:
+        i = abs(a)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    seen, cycles = [False] * beta.strands, 0
+    for start in range(beta.strands):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j], j = True, perm[j]
+    return cycles
+
+
+def closed_form(beta: BraidWord) -> Scalar:
+    """(-1)^(c-1) (-2)^nu, c = `components`, nu = `cover.burau_nullity`: equal to
+    `invariant` on every braid tried (a finding the tests pin, not a theorem)."""
+    return Scalar.of((-1) ** (components(beta) - 1) * (-2) ** cover.burau_nullity(beta))
 
 
 def random_braid(rng: random.Random, max_strands: int = 5, max_length: int = 12) -> BraidWord:

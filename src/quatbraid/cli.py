@@ -17,8 +17,7 @@ from typing import NoReturn
 import click
 
 from quatbraid import algebra, braids, cover, diagrams, hecke, image_group, linktable
-from quatbraid.braids import BraidWord, braided_span, evaluate, markov_move_test, random_braid
-from quatbraid.scalar import Scalar, qpow
+from quatbraid.braids import BraidWord, braided_span, markov_move_test, random_braid
 
 REPORT_SCHEMA = "quatbraid-report-v1"
 
@@ -273,30 +272,36 @@ def run_suite(
             d = image_group.left_regular_determinant(i, n)
             check(f"det-sixth-root[n={n},i={i}]", ["1", "0"], (d**6).to_json())
 
-    # invariant vs branched-cover oracle, and vs the Q(zeta) route 2^(n-1) zeta^(-2e) Tr(image)
+    # invariant vs branched-cover oracle, and vs the F4 closed form (-1)^(c-1) (-2)^nu
     for entry in links:
         beta = entry.braid
         val = braids.invariant(beta)
         if entry.seifert is not None:
             want = 2 ** cover.triple_cover_dim(entry.seifert_rows)
             check(f"invariant-magnitude[{entry.name}]", str(want), str(val.norm_sq()))
-        image = Scalar.of(2 ** (beta.strands - 1)) * qpow(-2 * beta.exponent_sum) * evaluate(beta).trace()
-        ok = val == image
+        ok = val == braids.closed_form(beta)
         # invariant(BraidWord(strands, word)) repeats a failure
         reproducer = {"link": entry.name, "strands": beta.strands, "word": list(beta.letters)}
         check(f"invariant-phase[{entry.name}]", True, ok, **({} if ok else {"reproducer": reproducer}))
 
-    # Markov moves on random braids
+    # Markov moves on random braids, and each braid's invariant vs the closed form
     rng = random.Random(seed)
-    failed = []
+    failed, mismatched = [], []
     for _ in range(markov_braids):
         beta = random_braid(rng)
         rep = markov_move_test(beta, trials=1, seed=rng.randrange(2**30))
         if not rep["pass"]:
             failed.append(rep)
-    # markov_move_test(BraidWord(strands, word), trials=1, seed=seed) repeats the first failure
-    reproducer = {"reproducer": {key: failed[0][key] for key in ("strands", "word", "seed")}} if failed else {}
-    check(f"markov-moves[{markov_braids} braids]", 0, len(failed), **reproducer)
+        if rep["invariant"] != braids.closed_form(beta).to_json():
+            mismatched.append(rep)
+
+    def reproducer(reps):
+        return {"reproducer": {key: reps[0][key] for key in ("strands", "word", "seed")}} if reps else {}
+
+    # markov_move_test(BraidWord(strands, word), trials=1, seed=seed) repeats the first failure,
+    # and braids.closed_form(BraidWord(strands, word)) the first mismatch
+    check(f"markov-moves[{markov_braids} braids]", 0, len(failed), **reproducer(failed))
+    check(f"closed-form[{markov_braids} braids]", 0, len(mismatched), **reproducer(mismatched))
 
     # Bratteli structure
     levels = diagrams.bratteli_levels(3, 6, 7, reduced=True)

@@ -34,6 +34,9 @@ S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
 # random linear combinations checked by verify_markov, and their seed
 _MARKOV_EXTRA_RANDOM, _MARKOV_SEED = 25, 7
+# sub-strand words verify_markov stacks per product; at n = 5, 16 ran faster
+# than 64 and kept the temporaries of one product near 0.25 MB instead of 1 MB
+_MARKOV_BLOCK = 16
 MAX_DIMENSION_N = 6  # the largest n subalgebra_dimension supports
 
 
@@ -82,6 +85,13 @@ def _generators(n: int, i: int, left: bool = False):
 def _word(n: int, index: int = 0):
     """The basis word at index as a vector; index 0 is the unit 1."""
     return np.eye(1, word_count(n), index, dtype=np.int64) * [[1], [0]]
+
+
+def _words(n: int, indices: list[int]):
+    """The basis words at indices as one stack of vectors, shape (2, len(indices), 4^(n-1))."""
+    stack = np.zeros((2, len(indices), word_count(n)), dtype=np.int64)
+    stack[0, np.arange(len(indices)), indices] = 1
+    return stack
 
 
 def _entry(relation: str, indices, ok) -> dict:
@@ -163,7 +173,8 @@ def verify_markov(n: int) -> list[dict]:
     linear combinations are thrown in on top.  Times 2(1 + zeta) this reads
     Tr(F_{n-1} b) = (1 + zeta) Tr(b); the scaling checks, times 2, read
     Tr(b (2 s)) = 2 z+ Tr(b) and Tr(b (2 s^-1)) = 2 z- Tr(b).  Each product
-    takes one vector, and Tr is its coefficient of the unit, at index 0.
+    takes a stack of vectors, shape (2, rows, 4^(n-1)), at most
+    _MARKOV_BLOCK rows at a time, and Tr is the coefficient of the unit, at index 0.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -172,34 +183,37 @@ def verify_markov(n: int) -> list[dict]:
     f_last = _generators(n, n - 1, left=True)[2]
 
     def markov(b) -> bool:
-        return np.array_equal(f_last(b)[:, 0], b[:, 0] + _zeta(b[:, 0]))
+        return np.array_equal(f_last(b)[..., 0], b[..., 0] + _zeta(b[..., 0]))
 
     sub_mask = (1 << (n - 2)) - 1
     sub_words = [Word(n, e, v).index for e in range(sub_mask + 1) for v in range(sub_mask + 1)]
+
+    def blocks():
+        return (_words(n, sub_words[k:k + _MARKOV_BLOCK]) for k in range(0, len(sub_words), _MARKOV_BLOCK))
+
     report = [
         _entry("markov-eta", ["Tr(f)"], markov(one)),
-        _entry("markov-span", [len(sub_words)], all(markov(_word(n, w)) for w in sub_words)),
+        _entry("markov-span", [len(sub_words)], all(markov(b) for b in blocks())),
     ]
     rng = random.Random(_MARKOV_SEED)
     # -2..2, zeta, -zeta, zeta^2
     pool = [(k, 0) for k in range(-2, 3)] + [(0, 1), (0, -1), times_zeta(0, 1)]
-    ok_rand = True
-    for _ in range(_MARKOV_EXTRA_RANDOM):
-        b = np.zeros_like(one)
+    combos = np.zeros((2, _MARKOV_EXTRA_RANDOM, word_count(n)), dtype=np.int64)
+    for combo in combos.transpose(1, 0, 2):
         for w in rng.sample(sub_words, min(5, len(sub_words))):
-            b[:, w] = rng.choice(pool)
-        ok_rand &= markov(b)
-    report.append(_entry("markov-random", [_MARKOV_EXTRA_RANDOM], ok_rand))
+            combo[:, w] = rng.choice(pool)
+    report.append(_entry("markov-random", [_MARKOV_EXTRA_RANDOM], markov(combos)))
 
-    z_pos, z_neg = markov_scaling_constants()
+    # 2 z+ = zeta - 1 and 2 z- = -zeta are integral
+    z_pos, z_neg = ((int(2 * z.a), int(2 * z.b)) for z in markov_scaling_constants())
 
     def scaled(z, b):
-        return 2 * (z.a * b[:, 0] + z.b * _zeta(b[:, 0]))
+        return z[0] * b[..., 0] + z[1] * _zeta(b[..., 0])
 
     ok_scale = all(
-        np.array_equal(two_s(b)[:, 0], scaled(z_pos, b))
-        and np.array_equal(two_s_inv(b)[:, 0], scaled(z_neg, b))
-        for b in (_word(n, w) for w in sub_words)
+        np.array_equal(two_s(b)[..., 0], scaled(z_pos, b))
+        and np.array_equal(two_s_inv(b)[..., 0], scaled(z_neg, b))
+        for b in blocks()
     )
     report.append(_entry("markov-scaling", ["z+", "z-"], ok_scale))
     return report

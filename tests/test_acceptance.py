@@ -11,7 +11,7 @@ import time
 import pytest
 
 from quatbraid.algebra import AlgebraElement, center
-from quatbraid.braids import BraidWord, invariant, markov_move_test, random_braid
+from quatbraid.braids import BraidWord, closed_form, invariant, markov_move_test, random_braid
 from quatbraid.cover import triple_cover_dim
 from quatbraid.diagrams import (
     bratteli_levels,
@@ -148,10 +148,10 @@ def test_09_markov_moves_500_braids():
     for k in range(500):
         beta = random_braid(rng, max_strands=5, max_length=12)
         rep = markov_move_test(beta, trials=1, seed=rng.randrange(2**30))
-        if not rep["pass"]:
+        if not rep["pass"] or rep["invariant"] != closed_form(beta).to_json():
             failures.append((k, rep))
     assert not failures, failures[:3]
-    _report("9 invariant unchanged under conjugation/stabilization, 500 braids")
+    _report("9 invariant unchanged under conjugation/stabilization and equal to the closed form, 500 braids")
 
 
 def test_10_bratteli_figure():

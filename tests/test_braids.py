@@ -9,11 +9,14 @@ from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import (
     MAX_BRAIDED_STRANDS,
     BraidWord,
+    closed_form,
+    components,
     evaluate,
     invariant,
     markov_move_test,
     random_braid,
 )
+from quatbraid.cover import burau_nullity
 from quatbraid.scalar import Scalar, qpow
 
 
@@ -120,13 +123,39 @@ def test_integer_invariant_matches_algebra(beta):
 @given(_words(12, [9, 10, 11, -9, -10, -11], 16))
 def test_integer_invariant_on_a_high_span(beta):
     # the word braids strands 9..12 only; the other eight are split unknots
-    assert invariant(beta) == _algebra_invariant(beta)
+    assert invariant(beta) == _algebra_invariant(beta) == closed_form(beta)
 
 
 def test_untouched_strands_are_split_unknots():
-    assert invariant(BraidWord(40, (1,))) == Scalar.of(2**38)
-    assert invariant(BraidWord(40, ())) == Scalar.of(2**39)
-    assert invariant(BraidWord(12, (10, 10, 10))) == Scalar.of(-2 * 2**10)  # trefoil, ten unknots
+    assert invariant(BraidWord(40, (1,))) == closed_form(BraidWord(40, (1,))) == Scalar.of(2**38)
+    assert invariant(BraidWord(40, ())) == closed_form(BraidWord(40, ())) == Scalar.of(2**39)
+    trefoil_and_unknots = BraidWord(12, (10, 10, 10))  # trefoil, ten unknots
+    assert invariant(trefoil_and_unknots) == closed_form(trefoil_and_unknots) == Scalar.of(-2 * 2**10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: _words(n, [s * i for i in range(1, n) for s in (1, -1)], 30) if n > 1 else st.just(BraidWord(1))
+))
+def test_invariant_closed_form(beta):
+    # a finding pinned here, not a theorem: I = (-1)^(c-1) (-2)^nu with c the
+    # closure's components and nu the F4 nullity of B(w) - I (Burau at t = w)
+    want = Scalar.of((-1) ** (components(beta) - 1) * (-2) ** burau_nullity(beta))
+    assert invariant(beta) == closed_form(beta) == want
+
+
+def test_hopf_link_sign():
+    # nu = 0 and two components: I = -1, a sign the Seifert oracle's normSq = 2^(2 nu) cannot see
+    hopf = BraidWord(2, (1, 1))
+    assert components(hopf) == 2 and burau_nullity(hopf) == 0
+    assert invariant(hopf) == closed_form(hopf) == Scalar.of(-1)
+
+
+def test_components():
+    assert components(BraidWord(1)) == 1
+    assert components(BraidWord(4)) == 4
+    assert components(BraidWord(3, (1, 2))) == 1
+    assert components(BraidWord(4, (1, -1, 3))) == 3
 
 
 def test_braided_span_cap():

@@ -314,28 +314,39 @@ def test_verify_above_eight_strands_fails_before_any_check(runner, monkeypatch):
     assert "at most 8" in result.output
 
 
-def test_run_suite_multiplies_algebra_elements_only_in_evaluate(monkeypatch):
-    # every check but the invariant-phase oracle runs on the integer tables
-    outside, depth = [], [0]
-    real_mul, real_evaluate = AlgebraElement.__mul__, cli_module.evaluate
+@pytest.mark.parametrize("table", ["bundled", "link-table"])
+def test_run_suite_multiplies_no_algebra_elements(monkeypatch, tmp_path, table):
+    # every check runs on integer tables, F2 or F4; the Q(zeta) route `evaluate`
+    # is the tests' reference only.  On an 8-strand, 24-letter word it would
+    # multiply elements of up to 4096 terms for seconds.
+    products = []
+    real_mul = AlgebraElement.__mul__
 
     def mul(self, other):
-        if not depth[0]:
-            outside.append(self.n)
+        products.append(self.n)
         return real_mul(self, other)
 
     def evaluate(beta):
-        depth[0] += 1
-        try:
-            return real_evaluate(beta)
-        finally:
-            depth[0] -= 1
+        raise AssertionError(f"run_suite reached evaluate on {beta}")
 
     monkeypatch.setattr(AlgebraElement, "__mul__", mul)
-    monkeypatch.setattr(cli_module, "evaluate", evaluate)
-    report = run_suite(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=2)
-    assert report["pass"] and "cube[n=2]" in [c["name"] for c in report["checks"]]
-    assert not outside, f"{len(outside)} AlgebraElement products outside evaluate"
+    monkeypatch.setattr(braids, "evaluate", evaluate)
+    kwargs = dict(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=2)
+    if table == "link-table":
+        rng = random.Random(8)
+        word = [rng.choice([-1, 1]) * rng.randint(1, 7) for _ in range(24)]
+        path = tmp_path / "links.json"
+        path.write_text(json.dumps({
+            "schema": "quatbraid-link-table-v1",
+            "links": [{"name": "long", "strands": 8, "word": word}],
+        }))
+        kwargs["link_table_path"] = str(path)
+    report = run_suite(**kwargs)
+    names = [c["name"] for c in report["checks"]]
+    assert report["pass"] and "cube[n=2]" in names and "closed-form[2 braids]" in names
+    assert table == "bundled" or "invariant-phase[long]" in names
+    assert not products, f"{len(products)} AlgebraElement products"
+    assert not hasattr(cli_module, "evaluate")
 
 
 def _strip_timing(report):
@@ -430,3 +441,23 @@ def test_markov_failure_carries_reproducer(monkeypatch):
     assert check["reproducer"] == {"strands": beta.strands, "word": list(beta.letters), "seed": braid_seed}
     rep = check["reproducer"]
     assert not markov_move_test(BraidWord(rep["strands"], tuple(rep["word"])), trials=1, seed=rep["seed"])["pass"]
+
+
+def test_closed_form_mismatch_carries_reproducer(monkeypatch):
+    kwargs = dict(seed=5, relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=3)
+    passing = next(c for c in run_suite(**kwargs)["checks"] if c["name"] == "closed-form[3 braids]")
+    assert passing["pass"] and passing["actual"] == 0 and "reproducer" not in passing
+
+    rng = random.Random(kwargs["seed"])
+    drawn = [(random_braid(rng), rng.randrange(2**30)) for _ in range(kwargs["markov_braids"])]
+    beta, braid_seed = drawn[1]  # drawn[2] is the bundled link 5_1
+    real = braids.closed_form
+    monkeypatch.setattr(braids, "closed_form", lambda b: -real(b) if b == beta else real(b))
+
+    checks = {c["name"]: c for c in run_suite(**kwargs)["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["closed-form[3 braids]"]
+    check = checks["closed-form[3 braids]"]
+    assert check["actual"] == 1
+    assert check["reproducer"] == {"strands": beta.strands, "word": list(beta.letters), "seed": braid_seed}
+    rep = check["reproducer"]
+    assert braids.invariant(BraidWord(rep["strands"], tuple(rep["word"]))) != braids.closed_form(beta)

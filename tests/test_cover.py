@@ -4,14 +4,18 @@ import random
 
 import pytest
 
-from quatbraid.braids import invariant
+from quatbraid.braids import BraidWord, components, invariant
 from quatbraid.cover import (
+    burau_minus_identity,
+    burau_nullity,
     double_cover_determinant,
     symplectic_check,
     triple_cover_dim,
     triple_cover_presentation,
 )
+from quatbraid.gf2 import f4_nullity
 from quatbraid.linktable import load_bundled
+from quatbraid.scalar import ONE
 
 TREFOIL = [[-1, 1], [0, -1]]
 
@@ -109,3 +113,24 @@ def test_frozen_cover_dimensions():
         "5_2": 0,
         "6_1": 0,
     }
+
+
+def test_burau_nullity_stabilizes_when_three_divides_n():
+    # sigma_1 sigma_2 closes to the unknot (I = 1, nu = 0), but on its own 3 strands
+    # det(I - B(t)) = [3]_t Delta(t) vanishes at t = w, so the unstabilized nullity is 1
+    beta = BraidWord(3, (1, 2))
+    assert f4_nullity(burau_minus_identity(3, [1, 2]), 2) == 1
+    assert f4_nullity(burau_minus_identity(4, [1, 2, 3]), 3) == 0
+    assert burau_nullity(beta) == 0 and components(beta) == 1 and invariant(beta) == ONE
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_burau_letter_inverses(n):
+    for i in range(1, n):
+        assert burau_minus_identity(n, [i, -i]) == burau_minus_identity(n, [-i, i]) == [(0, 0)] * (n - 1)
+
+
+def test_burau_nullity_doubles_to_cover_dimensions():
+    # 2 nu = dim H1 of the 3-fold branched cover mod 2, on every bundled link
+    for entry in load_bundled():
+        assert 2 * burau_nullity(entry.braid) == triple_cover_dim(entry.seifert_rows), entry.name
