@@ -53,6 +53,9 @@ from quatbraid.scalar import Scalar
 # The most strands a word may braid (largest minus smallest |letter|, plus 2):
 # `invariant` works on 4^(n-1)-entry vectors with ~1 MB of table per generator at 8.
 MAX_BRAIDED_STRANDS = 8
+# The most strands in all: the unlink on n strands has normSq 4^(n-1), which at
+# 4096 prints in 2466 digits, inside Python's 4300-digit int-to-str limit.
+MAX_STRANDS = 4096
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ def evaluate(beta: BraidWord) -> AlgebraElement:
 
 def braided_span(beta: BraidWord) -> tuple[int, int]:
     """(shift, braided): with each |letter| less shift, the word braids strands 1..braided."""
+    if beta.strands > MAX_STRANDS:
+        raise ValueError(f"the invariant supports at most {MAX_STRANDS} strands, got {beta.strands}")
     low = min((abs(a) for a in beta.letters), default=1)
     braided = max((abs(a) for a in beta.letters), default=0) - low + 2
     if braided > MAX_BRAIDED_STRANDS:

@@ -105,10 +105,9 @@ def burau_minus_identity(n: int, letters) -> list[tuple[int, int]]:
         before, diag, after = _LETTER_ROWS[1 if a > 0 else -1]
         for j, c in ((i - 1, before), (i + 1, after)):
             if 0 <= j < n - 1:
-                add = gf2.f4_times(cols[i], c)
-                cols[j] = (cols[j][0] ^ add[0], cols[j][1] ^ add[1])
+                cols[j] = gf2.f4_add_times(cols[j], c, cols[i])
         cols[i] = gf2.f4_times(cols[i], diag)
-    return [(a ^ (1 << j), b) for j, (a, b) in enumerate(cols)]
+    return [gf2.f4_add_times(col, (1, 0), (1 << j, 0)) for j, col in enumerate(cols)]
 
 
 def burau_nullity(beta) -> int:

@@ -34,9 +34,6 @@ S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
 # random linear combinations checked by verify_markov, and their seed
 _MARKOV_EXTRA_RANDOM, _MARKOV_SEED = 25, 7
-# sub-strand words verify_markov stacks per product; at n = 5, 16 ran faster
-# than 64 and kept the temporaries of one product near 0.25 MB instead of 1 MB
-_MARKOV_BLOCK = 16
 MAX_DIMENSION_N = 6  # the largest n subalgebra_dimension supports
 
 
@@ -82,11 +79,6 @@ def _generators(n: int, i: int, left: bool = False):
             lambda v: 2 * _zeta(v) - _zeta(letter(v, a=i), 2))
 
 
-def _word(n: int, index: int = 0):
-    """The basis word at index as a vector; index 0 is the unit 1."""
-    return np.eye(1, word_count(n), index, dtype=np.int64) * [[1], [0]]
-
-
 def _words(n: int, indices: list[int]):
     """The basis words at indices as one stack of vectors, shape (2, len(indices), 4^(n-1))."""
     stack = np.zeros((2, len(indices), word_count(n)), dtype=np.int64)
@@ -109,7 +101,7 @@ def verify_relations(n: int) -> list[dict]:
     if n < 2:
         raise ValueError("need n >= 2")
     s, s_inv, f = zip(*(_generators(n, i) for i in range(1, n)))
-    one, far = _word(n), [(i, j) for i in range(n - 1) for j in range(i + 2, n - 1)]
+    one, far = _words(n, [0])[:, 0], [(i, j) for i in range(n - 1) for j in range(i + 2, n - 1)]
     report = []
 
     def prod(*factors):
@@ -144,19 +136,22 @@ def verify_conjugation_table(n: int) -> list[dict]:
     two_s = _generators(n, 1)[0]
     two_s_inv = _generators(n, 1, left=True)[1]
 
-    def w(eps, nu):  # the word with these u- and v-masks
-        return _word(n, Word(n, eps, nu).index)
+    def w(eps, nu):  # the index of the word with these u- and v-masks
+        return Word(n, eps, nu).index
 
+    # (name, x, s_1^-1 x s_1 up to sign, that sign)
     expected = [
-        ("u1", w(1, 0), w(1, 1)),          # -> u1 v1
-        ("v1", w(0, 1), w(1, 0)),          # -> u1
-        ("u2", w(2, 0), w(2, 1)),          # -> u2 v1
-        ("v2", w(0, 2), -w(1, 3)),         # -> -u1 v1 v2
+        ("u1", w(1, 0), w(1, 1), 1),          # -> u1 v1
+        ("v1", w(0, 1), w(1, 0), 1),          # -> u1
+        ("u2", w(2, 0), w(2, 1), 1),          # -> u2 v1
+        ("v2", w(0, 2), w(1, 3), -1),         # -> -u1 v1 v2
     ]
     if n >= 4:
-        expected += [("u3", w(4, 0), w(4, 0)), ("v3", w(0, 4), w(0, 4))]
-    return [_entry("conjugation", [name], np.array_equal(two_s_inv(two_s(x)), 4 * want))
-            for name, x, want in expected]
+        expected += [("u3", w(4, 0), w(4, 0), 1), ("v3", w(0, 4), w(0, 4), 1)]
+    names, xs, images, signs = zip(*expected)
+    got = two_s_inv(two_s(_words(n, list(xs))))
+    want = 4 * np.array(signs)[:, None] * _words(n, list(images))
+    return [_entry("conjugation", [name], np.array_equal(got[:, k], want[:, k])) for k, name in enumerate(names)]
 
 
 def markov_scaling_constants() -> tuple[Scalar, Scalar]:
@@ -174,11 +169,11 @@ def verify_markov(n: int) -> list[dict]:
     Tr(F_{n-1} b) = (1 + zeta) Tr(b); the scaling checks, times 2, read
     Tr(b (2 s)) = 2 z+ Tr(b) and Tr(b (2 s^-1)) = 2 z- Tr(b).  Each product
     takes a stack of vectors, shape (2, rows, 4^(n-1)), at most
-    _MARKOV_BLOCK rows at a time, and Tr is the coefficient of the unit, at index 0.
+    intspan.BLOCK_ROWS rows at a time, and Tr is the coefficient of the unit, at index 0.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    one = _word(n)
+    one = _words(n, [0])
     two_s, two_s_inv, _ = _generators(n, n - 1)
     f_last = _generators(n, n - 1, left=True)[2]
 
@@ -189,7 +184,8 @@ def verify_markov(n: int) -> list[dict]:
     sub_words = [Word(n, e, v).index for e in range(sub_mask + 1) for v in range(sub_mask + 1)]
 
     def blocks():
-        return (_words(n, sub_words[k:k + _MARKOV_BLOCK]) for k in range(0, len(sub_words), _MARKOV_BLOCK))
+        step = intspan.BLOCK_ROWS
+        return (_words(n, sub_words[k:k + step]) for k in range(0, len(sub_words), step))
 
     report = [
         _entry("markov-eta", ["Tr(f)"], markov(one)),

@@ -35,8 +35,10 @@ from quatbraid.algebra import Word, index_masks, quad_words, sign_bits, word_cou
 
 # entry and matrix product bounds; int64 holds the difference of two products
 _ENTRY_LIMIT, _PRODUCT_LIMIT = 1 << 31, 1 << 62
-# Frontier rows multiplied by one T_i at a time; bounds the batch temporaries.
-_BLOCK_ROWS = 16
+# The most rows one `letter` call multiplies, here and in `hecke.verify_markov`;
+# bounds the batch temporaries (at n = 5, 16 rows ran faster than 64 and kept
+# those of one product near 0.25 MB instead of 1 MB).
+BLOCK_ROWS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,7 +167,7 @@ def t_word_rank(n: int) -> int:
     """Rank over Q of the T-words on n strands, by span closure over Z.
 
     Each round multiplies the rows the previous round added by every T_i, in
-    blocks of _BLOCK_ROWS rows, into a fully reduced echelon basis over Z with
+    blocks of BLOCK_ROWS rows, into a fully reduced echelon basis over Z with
     primitive rows and positive pivots; the span is closed when a round adds nothing.
     """
     size = word_count(n)
@@ -174,9 +176,9 @@ def t_word_rank(n: int) -> int:
     start = 0
     while start < len(basis):
         frontier, start = basis[start:].copy(), len(basis)
-        for b in range(0, len(frontier), _BLOCK_ROWS):
+        for b in range(0, len(frontier), BLOCK_ROWS):
             for i in range(1, n):
-                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + _BLOCK_ROWS], n, i))
+                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], n, i))
         if len(basis) > size:
             raise RuntimeError("span closure exceeded the ambient dimension")
     return len(basis)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import (
     MAX_BRAIDED_STRANDS,
+    MAX_STRANDS,
     BraidWord,
     closed_form,
     components,
@@ -163,6 +164,10 @@ def test_braided_span_cap():
         invariant(BraidWord(40, (1, 38)))
     with pytest.raises(ValueError):
         invariant(BraidWord(MAX_BRAIDED_STRANDS + 1, (1, -MAX_BRAIDED_STRANDS)))
+    # the strand bound keeps every printed value below Python's int-to-str digit limit
+    assert MAX_STRANDS == 4096 and invariant(BraidWord(MAX_STRANDS, (1,))) == Scalar.of(2**4094)
+    with pytest.raises(ValueError, match="at most 4096 strands, got 4097"):
+        invariant(BraidWord(MAX_STRANDS + 1, (1,)))
 
 
 @pytest.mark.parametrize("r", range(6))

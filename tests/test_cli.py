@@ -109,6 +109,8 @@ def test_invariant_bad_letter(runner):
         ["suite", "--link-table", ""],
         ["suite", "--config", {"json": '{"link_table_path": ""}'}],
         ["bratteli", "--dot", ""],
+        ["invariant", "--strands", "5000", "--word", "1",
+         {"error": "the invariant supports at most 4096 strands, got 5000"}],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):

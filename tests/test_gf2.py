@@ -63,3 +63,5 @@ def test_f4_nullity_counts_the_kernel(case):
         if all(functools.reduce(operator.xor, map(_f4_mul, row, x), 0) == 0 for row in matrix):
             kernel += 1
     assert kernel == 4 ** f4_nullity(rows, n_cols)
+    if all(e < 2 for row in matrix for e in row):  # an F2 matrix: its F2 nullity is the same exponent
+        assert kernel == 4 ** nullity([a for a, _ in rows], n_cols)
