@@ -108,12 +108,6 @@ def mul_words(w1: Word, w2: Word) -> tuple[int, Word]:
     return -1 if odd else 1, Word(w1.n, w1.eps ^ w2.eps, w1.nu ^ w2.nu)
 
 
-def words_commute(w1: Word, w2: Word) -> bool:
-    s1, _ = mul_words(w1, w2)
-    s2, _ = mul_words(w2, w1)
-    return s1 == s2
-
-
 class AlgebraElement:
     """Sparse linear combination of Words with Q(zeta) coefficients."""
 
@@ -222,15 +216,3 @@ def center(n: int) -> list[Word]:
         raise ValueError("need n >= 2")
     sols = _central_masks(n)
     return [Word(n, e, v) for e in sols for v in sols]
-
-
-def center_brute(n: int) -> list[Word]:
-    """Independent check: scan every word for commutation with all generators."""
-    gens = [Word(n, 1 << i, 0) for i in range(n - 1)]
-    gens += [Word(n, 0, 1 << i) for i in range(n - 1)]
-    out = []
-    for idx in range(word_count(n)):
-        w = Word.from_index(n, idx)
-        if all(words_commute(w, g) for g in gens):
-            out.append(w)
-    return out

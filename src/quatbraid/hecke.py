@@ -65,10 +65,11 @@ def idempotent(n: int, i: int) -> AlgebraElement:
 # --- the checks, on Z[zeta] vectors ------------------------------------------
 
 def _zeta(v, k: int = 1):
-    """zeta^k v, by the one rule `times_zeta`."""
+    """zeta^k v: the one rule `times_zeta` applied k times to the pair, then one array."""
+    a, b = v
     for _ in range(k):
-        v = np.array(times_zeta(*v))
-    return v
+        a, b = times_zeta(a, b)
+    return np.array((a, b))
 
 
 def _generators(n: int, i: int, left: bool = False):

@@ -5,8 +5,9 @@ multiplication by it on either side is a sum of four signed permutations of
 the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
 algebra's sign rule).  s_i = (zeta^2/2) T_i and s_i^-1 = (zeta^4/2)(2 - T_i),
 so braid letter +i acts on integer vectors as T_i and -i as 2 - T_i; `letter`,
-the one integer form of a letter, applies the tables and holds the 2^31 guard;
-it reads every entry unless its caller passes a proven bound below 2^31.
+the one integer form of a letter, applies a table as one `take` along the word
+axis, for any leading shape, and holds the 2^31 guard; it reads every entry
+unless its caller passes a proven bound below 2^31.
 `t_word_trace` multiplies 1 by one letter at a time, divides out the common
 factors 2 and reads off the identity coefficient; `braids.invariant` is built
 on it.  It carries such a bound, times 4 per letter +i and times 6 per letter
@@ -67,15 +68,21 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     coefficient vectors over the word basis, one per row (T_i vecs and
     (2 - T_i) vecs when left is true).
 
+    vecs may have any leading shape; the last axis is the word axis.  The four
+    terms are one `take` of the sources along it, shape (..., 4, 4^(n-1)),
+    signed in place and summed; vecs and the cached table stay unchanged.
+
     Raises OverflowError when an entry of vecs reaches 2^31, so no product wraps int64.
     vecs is read for that check unless bound, a proven upper bound on max|vecs|
     the caller carries, is below 2^31.  The result is at most 4 bound for +i
-    (four gathers with signs +-1) and 6 bound for -i.
+    (four terms with signs +-1) and 6 bound for -i.
     """
     if bound is None or bound >= _ENTRY_LIMIT:
         _check(_magnitude(vecs))
     sources, signs = t_action(n, abs(a), left)
-    times_t = (signs * vecs[..., sources]).sum(axis=-2)
+    terms = vecs.take(sources, axis=-1)
+    terms *= signs
+    times_t = terms.sum(axis=-2)
     return times_t if a > 0 else 2 * vecs - times_t
 
 

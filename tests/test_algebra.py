@@ -9,7 +9,6 @@ from quatbraid.algebra import (
     AlgebraElement,
     Word,
     center,
-    center_brute,
     mul_words,
     word_count,
 )
@@ -207,6 +206,24 @@ def test_trace_is_tracial():
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 4), (4, 1), (5, 1), (6, 4), (7, 1)])
 def test_center_dimension(n, dim):
     assert len(center(n)) == dim
+
+
+def words_commute(w1: Word, w2: Word) -> bool:
+    s1, _ = mul_words(w1, w2)
+    s2, _ = mul_words(w2, w1)
+    return s1 == s2
+
+
+def center_brute(n: int) -> list[Word]:
+    """Independent check: scan every word for commutation with all generators."""
+    gens = [Word(n, 1 << i, 0) for i in range(n - 1)]
+    gens += [Word(n, 0, 1 << i) for i in range(n - 1)]
+    out = []
+    for idx in range(word_count(n)):
+        w = Word.from_index(n, idx)
+        if all(words_commute(w, g) for g in gens):
+            out.append(w)
+    return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -238,6 +238,40 @@ def test_integer_t_action_matches_sign_algebra(data):
         assert element(prod) == want.scale(coeff.inverse())
 
 
+_GATHER_CASES = [(n, shape) for n in (2, 3, 5, 6) for shape in ("vector", "zeta-stack", "identity")
+                 if (n, shape) != (6, "identity")]
+
+
+@pytest.mark.parametrize("n, shape", _GATHER_CASES)
+def test_letter_gather_matches_table_formula(n, shape):
+    # every input shape a caller passes: the invariant's vector, hecke's
+    # (2, rows, 4^(n-1)) Z[zeta] stack, and the square identity matrix of
+    # conjugation_action and left_regular_matrix (n <= 5, its largest use);
+    # each row must read (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]]
+    size = word_count(n)
+    if shape == "identity":
+        vecs = np.eye(size, dtype=np.int64)
+    else:
+        vecs = np.random.default_rng(n).integers(-5, 6, (size,) if shape == "vector" else (2, 3, size))
+    before = vecs.copy()
+    for i in range(1, n):
+        for left in (False, True):
+            sources, signs = t_action(n, i, left)
+            table = sources.copy(), signs.copy()
+            plus, minus = letter(vecs, n, i, left), letter(vecs, n, -i, left)
+            assert plus.shape == minus.shape == vecs.shape
+            rows = (m.reshape(-1, size).tolist() for m in (vecs, plus, minus))
+            for vec, got_plus, got_minus in zip(*rows):
+                want = [sum(s * vec[x] for s, x in zip(sg, src))
+                        for sg, src in zip(signs.T.tolist(), sources.T.tolist())]
+                assert got_plus == want
+                assert got_minus == [2 * v - w for v, w in zip(vec, want)]
+            # the in-place sign multiply touches only the gathered copy
+            assert not sources.flags.writeable and not signs.flags.writeable
+            assert np.array_equal(sources, table[0]) and np.array_equal(signs, table[1])
+            assert np.array_equal(vecs, before)
+
+
 @pytest.mark.parametrize("n, samples", [(6, None), (7, 300), (8, 300)])
 def test_t_action_matches_word_products(n, samples):
     # reference: one mul_words call per table entry, every i and both sides;
