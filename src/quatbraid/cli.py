@@ -103,6 +103,7 @@ def dim(n):
 @click.option("--n", required=True, type=int)
 def center(n):
     """Basis of the center of the word algebra."""
+    _check_range("--n", n, 2, braids.MAX_STRANDS)  # algebra.center takes time about n^2
     words = algebra.center(n)
     _emit("center", {"n": n, "dimension": len(words), "basis": [str(w) for w in words]})
 

@@ -114,9 +114,8 @@ def burau_nullity(beta) -> int:
     """nu = nullity over F4 of B(w) - I for the braid word beta (a `braids.BraidWord`).
 
     det(I - B(t)) = [n]_t Delta(t) (Birman 1974), and [n]_w = 0 when 3 | n, so
-    in that case beta is first stabilized once, by letter n on n + 1 strands.
+    in that case beta is first stabilized once (`BraidWord.stabilize`).
     """
-    n, letters = beta.strands, list(beta.letters)
-    if n % 3 == 0:
-        n, letters = n + 1, letters + [n]
-    return gf2.f4_nullity(burau_minus_identity(n, letters), n - 1)
+    if beta.strands % 3 == 0:
+        beta = beta.stabilize(1)
+    return gf2.f4_nullity(burau_minus_identity(beta.strands, beta.letters), beta.strands - 1)

@@ -6,14 +6,14 @@ The generator attached to position i is
 
 with inverse (zeta^4/2)(2 - T_i) and idempotent f_i = (zeta - s_i)/(1 + zeta),
 built here over Q(zeta) as the tests' reference.  The checks of the braid,
-quadratic and idempotent relations, of the conjugation table of s_1 and of the
-Markov property take each relation times a constant, so that only 2 s_i,
-2 s_i^-1 and F_i = 2(1 + zeta) f_i = 2 zeta - 2 s_i occur.  They apply the
+quadratic and idempotent relations and of the Markov property take each
+relation times a constant, so that only 2 s_i, 2 s_i^-1 and
+F_i = 2(1 + zeta) f_i = 2 zeta - 2 s_i occur.  They apply the
 integer letters T_i and 2 - T_i of `intspan.letter` to Z[zeta] vectors: int64
 arrays v of shape (2, 4^(n-1)) holding v[0] + zeta v[1] on the word basis.
 The dimension of the subalgebra the s_i generate comes from exact span
 closure over the integers: the Q(zeta)-dimension of a span of rational
-vectors is their Q-rank.
+vectors is their Q-rank.  The s_1 conjugation check reads `image_group`'s table.
 """
 
 from __future__ import annotations
@@ -131,11 +131,13 @@ def verify_relations(n: int) -> list[dict]:
 
 
 def verify_conjugation_table(n: int) -> list[dict]:
-    """Match (2 s_1^-1) x (2 s_1) = 4 s_1^-1 x s_1 against the closed-form table for nearby generators."""
+    """Match the codes of `image_group.conjugation_action(1, n)`, the table the BFS reads,
+    against the closed-form table for nearby generators.  Like enumerate_group, raises
+    NotASignedWordError if a conjugate is not a signed word (only with a corrupt T_1)."""
+    from quatbraid import image_group  # not at the top: image_group imports S_COEFF from here
     if n < 3:
         raise ValueError("need n >= 3")
-    two_s = _generators(n, 1)[0]
-    two_s_inv = _generators(n, 1, left=True)[1]
+    codes = image_group.conjugation_action(1, n).codes
 
     def w(eps, nu):  # the index of the word with these u- and v-masks
         return Word(n, eps, nu).index
@@ -149,10 +151,7 @@ def verify_conjugation_table(n: int) -> list[dict]:
     ]
     if n >= 4:
         expected += [("u3", w(4, 0), w(4, 0), 1), ("v3", w(0, 4), w(0, 4), 1)]
-    names, xs, images, signs = zip(*expected)
-    got = two_s_inv(two_s(_words(n, list(xs))))
-    want = 4 * np.array(signs)[:, None] * _words(n, list(images))
-    return [_entry("conjugation", [name], np.array_equal(got[:, k], want[:, k])) for k, name in enumerate(names)]
+    return [_entry("conjugation", [name], codes[x] == 2 * image + (sign < 0)) for name, x, image, sign in expected]
 
 
 def markov_scaling_constants() -> tuple[Scalar, Scalar]:

@@ -28,8 +28,9 @@ signs only, a nontrivial sign kernel, and raises RuntimeError.  So the
 result is that of comparing whole signed codes.
 
 The conjugation action and the left-regular matrices both come from the
-integer letters T_i and 2 - T_i of `intspan.letter`.  The left-regular
-determinant of s_i = S_COEFF T_i is S_COEFF^(4^(n-1)) times the
+integer letters T_i and 2 - T_i of `intspan.letter`; the action applies them to
+u_i, v_i only and the rest follows by `_mul_codes`, on the keys' premise.  The
+left-regular determinant of s_i = S_COEFF T_i is S_COEFF^(4^(n-1)) times the
 integer det(T_i), so the only Q(zeta) step is that one scalar product.
 """
 
@@ -105,24 +106,23 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     """Signed permutation w -> s_i^-1 w s_i on the word basis.
 
     s_i = c T_i and s_i^-1 = c' (2 - T_i) with T_i = 1 + u_i + v_i + u_i v_i
-    and c c' = 1/4, so the conjugate is (1/4)(2 - T_i) w T_i.  Letter +i on
-    the right of the rows of the integer identity matrix, then letter -i on
-    the left, gives the conjugates times 4 of every word w at once, one row
-    each; each row must be a single word with coefficient +-4.
+    and c c' = 1/4, so the conjugate is (1/4)(2 - T_i) w T_i.  Letter +i on the
+    right of the unit rows of the words u_i, v_i, then letter -i on the left,
+    must give +-4 times one word each.  Conjugation is an automorphism, so every
+    other word's code is the product of its factors' codes in normal-form order.
     """
-    size = word_count(n)
-    conj = letter(letter(np.eye(size, dtype=np.int64), n, i), n, -i, left=True)
-    terms = np.count_nonzero(conj, axis=1)
-    target = np.abs(conj).argmax(axis=1)
-    coeff = conj[np.arange(size), target]
-    bad = np.flatnonzero((terms != 1) | (np.abs(coeff) != 4))
-    if bad.size:
-        idx = int(bad[0])
-        w = Word.from_index(n, idx)
-        if terms[idx] != 1:
-            raise NotASignedWordError(f"conjugate of {w} has {terms[idx]} terms")
-        raise NotASignedWordError(f"conjugate of {w} has coefficient {coeff[idx]}/4")
-    return SignedPermutation(n, (2 * target + (coeff < 0)).astype(np.uint16))
+    base = _generator_words(n)
+    rows = (np.arange(word_count(n)) == base[:, None]).astype(np.int64)
+    conj = letter(letter(rows, n, i), n, -i, left=True)
+    coeff = conj.sum(axis=1)
+    bad = (np.count_nonzero(conj, axis=1) != 1) | (np.abs(coeff) != 4)
+    if bad.any():
+        w = Word.from_index(n, int(base[bad.argmax()]))
+        raise NotASignedWordError(f"conjugate of {w} is not +-4 times one word")
+    words, codes = np.arange(word_count(n)), np.zeros(word_count(n), dtype=np.uint16)
+    for x, code in zip(base, (2 * np.nonzero(conj)[1] + (coeff < 0)).astype(np.uint16)):
+        codes = np.where(words & x, _mul_codes(codes, code, n), codes)
+    return SignedPermutation(n, codes)
 
 
 # The default cap on the elements a group enumeration may find, and the largest n it

@@ -103,8 +103,8 @@ def test_06_finiteness(group_n5):
         res = enumerate_group(n)
         assert res["conclusive"], n
     assert group_n5["conclusive"]
-    # conjugation of every basis word by every generator is a signed word:
-    # conjugation_action raises otherwise
+    # the conjugate of each u_i, v_i by every generator is a signed word
+    # (conjugation_action raises otherwise), so that of every word, their product, is one
     for n in (2, 3, 4, 5):
         for i in range(1, n):
             conjugation_action(i, n)

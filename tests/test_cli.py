@@ -72,6 +72,7 @@ def test_invariant_bad_letter(runner):
         ["dim", "--n", "7"],
         ["dim", "--n", "1"],
         ["center", "--n", "1"],
+        ["center", "--n", "4097"],
         ["group", "--n", "6"],
         ["group", "--n", "3", "--max", "0"],
         ["group", "--n", "3", "--max", "abc"],

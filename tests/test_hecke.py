@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatbraid import intspan
+from quatbraid import image_group, intspan
 from quatbraid.algebra import AlgebraElement, Word, mul_words, quad_words, word_count
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
@@ -40,6 +40,35 @@ def test_relations(n):
 def test_conjugation_table(n):
     report = verify_conjugation_table(n)
     assert all(e["pass"] for e in report), report
+
+
+def test_conjugation_table_reads_the_group_table(monkeypatch):
+    # the check reads image_group.conjugation_action: a wrong sign in that
+    # table at v2 fails the v2 entry and no other
+    action = image_group.conjugation_action
+
+    def flipped(i, n):
+        codes = action(i, n).codes.copy()
+        codes[Word(n, 0, 2).index] ^= 1
+        return image_group.SignedPermutation(n, codes)
+
+    monkeypatch.setattr(image_group, "conjugation_action", flipped)
+    report = verify_conjugation_table(3)
+    assert [e["indices"] for e in report if not e["pass"]] == [["v2"]]
+
+
+def test_conjugation_table_raises_on_a_corrupt_t_table(monkeypatch):
+    # a wrong sign in the right T_1 table makes the conjugate of u1 no signed word
+    def corrupted(n, i, left=False):
+        sources, signs = t_action(n, i, left)
+        if not left:
+            signs = signs.copy()
+            signs[1, 0] = -signs[1, 0]
+        return sources, signs
+
+    monkeypatch.setattr(intspan, "t_action", corrupted)
+    with pytest.raises(image_group.NotASignedWordError, match=r"^conjugate of u1 is not \+-4 times one word$"):
+        verify_conjugation_table(3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -246,7 +275,7 @@ _GATHER_CASES = [(n, shape) for n in (2, 3, 5, 6) for shape in ("vector", "zeta-
 def test_letter_gather_matches_table_formula(n, shape):
     # every input shape a caller passes: the invariant's vector, hecke's
     # (2, rows, 4^(n-1)) Z[zeta] stack, and the square identity matrix of
-    # conjugation_action and left_regular_matrix (n <= 5, its largest use);
+    # left_regular_matrix and of the conjugation reference route (n <= 5 here);
     # each row must read (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]]
     size = word_count(n)
     if shape == "identity":

@@ -45,11 +45,45 @@ def test_action_matches_closed_form_table():
 
 
 def test_actions_are_bijections():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 7, 8):
         for i in range(1, n):
             act = conjugation_action(i, n)
             assert act.codes.dtype == np.uint16
             assert sorted(act.codes >> 1) == list(range(word_count(n)))
+
+
+def _conjugation_by_identity(i, n):
+    """Reference: every word conjugated at once, as the rows of the integer identity matrix."""
+    size = word_count(n)
+    conj = intspan.letter(intspan.letter(np.eye(size, dtype=np.int64), n, i), n, -i, left=True)
+    target = np.abs(conj).argmax(axis=1)
+    coeff = conj[np.arange(size), target]
+    assert (np.count_nonzero(conj, axis=1) == 1).all() and (np.abs(coeff) == 4).all()
+    return (2 * target + (coeff < 0)).astype(np.uint16)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_action_matches_identity_matrix_route(n):
+    for i in range(1, n):
+        assert np.array_equal(conjugation_action(i, n).codes, _conjugation_by_identity(i, n)), i
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_words_follow_the_local_rule(n):
+    # s_i^-1 x s_i: u_j -> u_j v_i for |j - i| <= 1, v_i -> u_i,
+    # v_{i+-1} -> -u_i v_i v_{i+-1}, every other u_j, v_j fixed
+    for i in range(1, n):
+        act, b = conjugation_action(i, n), 1 << (i - 1)
+        for j in range(1, n):
+            c, near = 1 << (j - 1), abs(j - i) <= 1
+            if j == i:
+                want_v = (Word(n, b, 0).index, 1)
+            elif near:
+                want_v = (Word(n, b, b | c).index, -1)
+            else:
+                want_v = (Word(n, 0, c).index, 1)
+            assert _target_sign(act, Word(n, c, 0).index) == (Word(n, c, b if near else 0).index, 1), (i, j)
+            assert _target_sign(act, Word(n, 0, c).index) == want_v, (i, j)
 
 
 def test_braid_relations_in_the_image():
@@ -61,7 +95,7 @@ def test_braid_relations_in_the_image():
 
 
 def test_generator_order_three():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 7, 8):
         for i in range(1, n):
             act = conjugation_action(i, n)
             assert act.compose(act).compose(act).is_identity()
