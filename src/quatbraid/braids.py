@@ -19,7 +19,7 @@ cancels: zeta^(-2e) c^p c'^m = zeta^(6m) / 2^L = 2^-L.  So
 
     I(beta) = 2^(n-1-L) Tr(P) = 2^(n-1-L+k) t,
 
-where `intspan.t_word_trace` returns Tr(P) = 2^k t, applying each letter by
+where `intspan.t_word_trace` returns Tr(P) = 2^k t (t odd), applying each letter by
 `intspan.letter`, the package's one integer form of a letter.  The product
 lives on the strands the word braids, relabelled to 1..; each further strand
 is a split unknot and contributes its factor 2 through n.
@@ -51,7 +51,8 @@ from quatbraid.hecke import braid_generator, braid_generator_inverse
 from quatbraid.scalar import Scalar
 
 # The most strands a word may braid (largest minus smallest |letter|, plus 2):
-# `invariant` works on 4^(n-1)-entry vectors with ~1 MB of table per generator at 8.
+# `invariant` works on 4^(n-1)-entry vectors with ~1 MB of table per generator at 8;
+# the -i tables share the sources of +i and add 0.5 MB of signs each.
 MAX_BRAIDED_STRANDS = 8
 # The most strands in all: the unlink on n strands has normSq 4^(n-1), which at
 # 4096 prints in 2466 digits, inside Python's 4300-digit int-to-str limit.
@@ -106,8 +107,9 @@ def braided_span(beta: BraidWord) -> tuple[int, int]:
     """(shift, braided): with each |letter| less shift, the word braids strands 1..braided."""
     if beta.strands > MAX_STRANDS:
         raise ValueError(f"the invariant supports at most {MAX_STRANDS} strands, got {beta.strands}")
-    low = min((abs(a) for a in beta.letters), default=1)
-    braided = max((abs(a) for a in beta.letters), default=0) - low + 2
+    used = set(map(abs, beta.letters))
+    low = min(used, default=1)
+    braided = max(used, default=0) - low + 2
     if braided > MAX_BRAIDED_STRANDS:
         raise ValueError(
             f"the word braids {braided} strands; the invariant supports at most {MAX_BRAIDED_STRANDS}"
@@ -119,7 +121,8 @@ def invariant(beta: BraidWord) -> Scalar:
     """I(beta) = 2^(n-1) zeta^(-2e) Tr(image of beta), exactly, over the integers."""
     shift, braided = braided_span(beta)
     t, k = intspan.t_word_trace(braided, [a - shift if a > 0 else a + shift for a in beta.letters])
-    return Scalar.of(t * Fraction(2) ** (beta.strands - 1 - len(beta.letters) + k))
+    e = beta.strands - 1 - len(beta.letters) + k
+    return Scalar.of(t << e if e >= 0 else Fraction(t, 1 << -e))
 
 
 def components(beta: BraidWord) -> int:

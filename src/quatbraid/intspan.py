@@ -4,15 +4,16 @@ T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
 the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
 algebra's sign rule).  s_i = (zeta^2/2) T_i and s_i^-1 = (zeta^4/2)(2 - T_i),
-so braid letter +i acts on integer vectors as T_i and -i as 2 - T_i; `letter`,
-the one integer form of a letter, applies a table as one `take` along the word
-axis, for any leading shape, and holds the 2^31 guard; it reads every entry
-unless its caller passes a proven bound below 2^31.
-`t_word_trace` multiplies 1 by one letter at a time, divides out the common
-factors 2 and reads off the identity coefficient; `braids.invariant` is built
-on it.  It carries such a bound, times 4 per letter +i and times 6 per letter
--i (|v T_i| <= 4 max|v|, |2v - v T_i| <= 6 max|v|), shifted with the vector,
-and reads the vector only when the bound reaches 2^31.
+so braid letter +i acts on integer vectors as T_i and -i as
+2 - T_i = 1 - u_i - v_i - u_i v_i: the same four sources with the three
+non-identity signs negated.  `letter`, the one integer form of a letter of
+either sign, applies its table as one `take` along the word axis, for any
+leading shape, and holds the 2^31 guard; it reads every entry unless its
+caller passes a proven bound below 2^31.
+`t_word_trace` multiplies 1 by one letter at a time and reads off the identity
+coefficient; `braids.invariant` is built on it.  It carries such a bound,
+times 4 per letter of either sign (four terms with signs +-1), and only when
+the bound reaches 2^31 divides out the common factors 2 and reads the vector.
 Closing {1} under right multiplication by every T_i, one word length per round
 and one int64 matrix product per block of a round, gives the Q-rank of all
 T-words exactly.  Both factors of every elementwise multiply are below 2^31,
@@ -43,21 +44,28 @@ BLOCK_ROWS = 16
 
 
 @functools.lru_cache(maxsize=None)
-def t_action(n: int, i: int, left: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplication by T_i = 1 + u_i + v_i + u_i v_i as four signed gathers.
+def t_action(n: int, a: int, left: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplication by T_i = 1 + u_i + v_i + u_i v_i (letter a = +i) or by
+    2 - T_i = 1 - u_i - v_i - u_i v_i (a = -i) as four signed gathers.
 
     Returns read-only (sources, signs), each of shape (4, 4^(n-1)), with
-    (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]] on word indices,
-    or (T_i vec)[y] when left is true.  A product XORs indices, so the k-th
-    word t sends source y ^ t.index to y.
+    (vec T)[y] = sum_k signs[k, y] * vec[sources[k, y]] on word indices,
+    or (T vec)[y] when left is true.  A product XORs indices, so the k-th
+    word t sends source y ^ t.index to y.  Letter -i shares the sources array
+    of +i; its signs are those of +i with rows u_i, v_i, u_i v_i negated.
     """
+    i = abs(a)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    quad = np.array([[t.index] for t in quad_words(n, i)])
-    sources = np.arange(word_count(n)) ^ quad
-    (eps, nu), (t_eps, t_nu) = index_masks(n, sources), index_masks(n, quad)
-    odd = sign_bits(t_eps, t_nu, eps, nu) if left else sign_bits(eps, nu, t_eps, t_nu)
-    signs = np.where(np.bitwise_count(odd) & 1, -1, 1)
+    if a < 0:
+        sources, signs = t_action(n, i, left)
+        signs = signs * np.array([[1], [-1], [-1], [-1]])
+    else:
+        quad = np.array([[t.index] for t in quad_words(n, i)])
+        sources = np.arange(word_count(n)) ^ quad
+        (eps, nu), (t_eps, t_nu) = index_masks(n, sources), index_masks(n, quad)
+        odd = sign_bits(t_eps, t_nu, eps, nu) if left else sign_bits(eps, nu, t_eps, t_nu)
+        signs = np.where(np.bitwise_count(odd) & 1, -1, 1)
     # every caller shares the cached arrays
     sources.flags.writeable = signs.flags.writeable = False
     return sources, signs
@@ -69,21 +77,21 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     (2 - T_i) vecs when left is true).
 
     vecs may have any leading shape; the last axis is the word axis.  The four
-    terms are one `take` of the sources along it, shape (..., 4, 4^(n-1)),
-    signed in place and summed; vecs and the cached table stay unchanged.
+    terms of `t_action(n, a, left)` are one `take` of the sources along it,
+    shape (..., 4, 4^(n-1)), signed in place and summed, the same for either
+    sign of a; vecs and the cached table stay unchanged.
 
     Raises OverflowError when an entry of vecs reaches 2^31, so no product wraps int64.
     vecs is read for that check unless bound, a proven upper bound on max|vecs|
-    the caller carries, is below 2^31.  The result is at most 4 bound for +i
-    (four terms with signs +-1) and 6 bound for -i.
+    the caller carries, is below 2^31.  The result is at most 4 bound for
+    either sign (four terms with signs +-1).
     """
     if bound is None or bound >= _ENTRY_LIMIT:
         _check(_magnitude(vecs))
-    sources, signs = t_action(n, abs(a), left)
+    sources, signs = t_action(n, a, left)
     terms = vecs.take(sources, axis=-1)
     terms *= signs
-    times_t = terms.sum(axis=-2)
-    return times_t if a > 0 else 2 * vecs - times_t
+    return np.add.reduce(terms, axis=-2)
 
 
 def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
@@ -143,14 +151,17 @@ def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np
 
 def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     """(t, k) with 2^k t the identity coefficient of the product of T_i (letter +i)
-    and 2 - T_i (letter -i), multiplied on the right starting from 1.
+    and 2 - T_i (letter -i), multiplied on the right starting from 1; t is odd,
+    or (t, k) = (0, 0).
 
-    The vector is divided by every common factor 2 after each letter, so its
-    entries stay bounded over long words (the image group is finite).  A bound
-    on max|vec|, times 4 per letter +i and 6 per letter -i, shifted with vec,
-    is carried, and vec is read for its exact max|vec| only when the bound
-    reaches 2^31, so `letter` raises OverflowError on the same letter as a
-    read before every letter would.
+    A bound on max|vec|, times 4 per letter, is carried.  Only when it reaches
+    2^31 are the common factors 2 divided out of vec (the image group is
+    finite, so that keeps the entries bounded over long words) and vec read
+    for its exact max|vec|, which replaces the bound.  Dividing by a power of
+    2 commutes with the integer-linear letters, so the vector divided there is
+    the one a division after every letter would hold; `letter` therefore raises
+    OverflowError on the same letter as a read of every entry before every
+    letter would, and below the bound no entry can reach 2^31.
     """
     one = Word.identity(n).index
     vec = np.zeros(word_count(n), dtype=np.int64)
@@ -158,16 +169,22 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     k, bound = 0, 1
     for a in letters:
         if bound >= _ENTRY_LIMIT:
+            twos = _twos(int(np.bitwise_or.reduce(vec)))
+            vec >>= twos
+            k += twos
             bound = _magnitude(vec)
         vec = letter(vec, n, a, bound=bound)
-        bound *= 4 if a > 0 else 6
-        low = int(np.bitwise_or.reduce(vec))
-        twos = (low & -low).bit_length() - 1
-        if twos > 0:
-            vec >>= twos
-            bound >>= twos
-            k += twos
-    return int(vec[one]), k
+        bound *= 4
+    t = int(vec[one])
+    if not t:
+        return 0, 0
+    twos = _twos(t)
+    return t >> twos, k + twos
+
+
+def _twos(x: int) -> int:
+    """The exponent of 2 in x; 0 for x = 0."""
+    return (x & -x).bit_length() - 1 if x else 0
 
 
 def t_word_rank(n: int) -> int:

@@ -303,22 +303,27 @@ def test_letter_gather_matches_table_formula(n, shape):
 
 @pytest.mark.parametrize("n, samples", [(6, None), (7, 300), (8, 300)])
 def test_t_action_matches_word_products(n, samples):
-    # reference: one mul_words call per table entry, every i and both sides;
-    # every source word at n = 6, a sample of them at n = 7 and 8
+    # reference: one mul_words call per table entry, every letter of either sign
+    # and both sides; letter -i is 2 - T_i = 1 - u_i - v_i - u_i v_i, so its
+    # signs are negated on every word but 1.  Every source word at n = 6, a
+    # sample of them at n = 7 and 8.
     rng = random.Random(n)
     sources_x = range(word_count(n)) if samples is None else rng.sample(range(word_count(n)), samples)
     for left in (False, True):
-        for i in (0, n):
+        for a in (0, n, -n):
             with pytest.raises(ValueError, match="out of range"):
-                t_action(n, i, left)
+                t_action(n, a, left)
         for i in range(1, n):
-            sources, signs = t_action(n, i, left)
-            assert not sources.flags.writeable and not signs.flags.writeable
-            for k, t in enumerate(quad_words(n, i)):
-                for x in sources_x:
-                    w = Word.from_index(n, x)
-                    sign, y = mul_words(t, w) if left else mul_words(w, t)
-                    assert (sources[k, y.index], signs[k, y.index]) == (x, sign), (n, i, left, k, x)
+            plus, minus = t_action(n, i, left), t_action(n, -i, left)
+            assert minus[0] is plus[0]
+            assert not any(array.flags.writeable for array in plus + minus)
+            for a, (sources, signs) in ((i, plus), (-i, minus)):
+                for k, t in enumerate(quad_words(n, i)):
+                    negate = -1 if a < 0 and k else 1
+                    for x in sources_x:
+                        w = Word.from_index(n, x)
+                        sign, y = mul_words(t, w) if left else mul_words(w, t)
+                        assert (sources[k, y.index], signs[k, y.index]) == (x, negate * sign), (n, a, left, k, x)
 
 
 def test_reduce_with_non_unit_pivots():
@@ -369,20 +374,22 @@ def test_closure_overflow_guard():
 
 
 def test_word_trace_guard_raises_on_the_same_letter(monkeypatch):
-    # a table that multiplies by -3: letter +1 scales by 3, letter -1 by 2 + 3 = 5,
-    # with no factor 2 to divide out.  3^19 and 5^13 are below 2^31, 3^20 and 5^14
-    # are not, so the guard must stop the 21st and the 15th letter, as a read of
-    # every entry before every letter would, although the carried bound (4^k, 6^k)
-    # passes 2^31 letters earlier.
+    # a table that multiplies by -3 for either sign of letter, with no factor 2
+    # to divide out.  3^19 is below 2^31 and 3^20 is not, so the guard must stop
+    # the 21st letter, as a read of every entry before every letter would,
+    # although the carried bound 4^k passes 2^31 five letters earlier.
     sources = np.tile(np.arange(4), (4, 1))
     signs = np.repeat([[-1], [-1], [-1], [0]], 4, axis=1)
-    monkeypatch.setattr(intspan, "t_action", lambda n, i, left=False: (sources, signs))
-    assert intspan.t_word_trace(2, [1] * 20) == (3**20, 0)
-    with pytest.raises(OverflowError):
-        intspan.t_word_trace(2, [1] * 21)
-    assert intspan.t_word_trace(2, [-1] * 14) == (5**14, 0)
-    with pytest.raises(OverflowError):
-        intspan.t_word_trace(2, [-1] * 15)
+    monkeypatch.setattr(intspan, "t_action", lambda n, a, left=False: (sources, signs))
+    for a in (1, -1):
+        assert intspan.t_word_trace(2, [a] * 20) == (3**20, 0)
+        with pytest.raises(OverflowError):
+            intspan.t_word_trace(2, [a] * 21)
+    # a table that sends every vector to 0: the bound still reaches 2^31 and the
+    # zero vector is divided by 2^0, not shifted by a negative count
+    zero = np.zeros_like(signs)
+    monkeypatch.setattr(intspan, "t_action", lambda n, a, left=False: (sources, zero))
+    assert intspan.t_word_trace(2, [1, -1] * 20) == (0, 0)
 
 
 def test_word_trace_reads_the_vector_only_when_its_bound_reaches_the_guard(monkeypatch):
@@ -395,16 +402,47 @@ def test_word_trace_reads_the_vector_only_when_its_bound_reaches_the_guard(monke
     assert 0 < len(reads) <= 603 // 16
 
 
+def _normalized_trace(n, letters):
+    """(t, k) with 2^k t the identity coefficient of the letters' product, dividing
+    the common factors 2 out of the vector after every letter."""
+    vec = np.zeros(word_count(n), dtype=np.int64)
+    vec[Word.identity(n).index] = 1
+    k = 0
+    for a in letters:
+        vec = letter(vec, n, a)
+        low = int(np.bitwise_or.reduce(vec))
+        if low:  # an all-zero vector has no factor 2 to divide out
+            twos = (low & -low).bit_length() - 1
+            vec >>= twos
+            k += twos
+    return int(vec[Word.identity(n).index]), k
+
+
+def _letters(max_n):
+    n = st.integers(2, max_n)
+    return n.flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=40)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_normalized_trace_vector_entries_are_signs(data):
+@given(_letters(8))
+def test_word_trace_matches_normalizing_after_every_letter(word):
+    # t_word_trace divides out the 2s only when its bound reaches 2^31, and t at the end
+    n, letters = word
+    t, k = intspan.t_word_trace(n, letters)
+    want_t, want_k = _normalized_trace(n, letters)
+    assert t * 2**k == want_t * 2**want_k, (n, letters)
+    assert t % 2 == 1 or (t, k) == (0, 0), (n, letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_letters(7))
+def test_normalized_trace_vector_entries_are_signs(word):
     # A finding, not a theorem: after each letter and the division by the common
-    # factors 2, as in t_word_trace, every entry of the vector is -1, 0 or 1.
-    # The carried bound in t_word_trace is proven without it; it only explains
-    # why the vector is read so rarely (a bound re-read at 1 lasts 12 to 16 letters).
-    n = data.draw(st.integers(2, 7), label="n")
-    letters = data.draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
-                                 max_size=40), label="letters")
+    # factors 2, every entry of the vector is -1, 0 or 1.  The carried bound in
+    # t_word_trace is proven without it; it only explains why the vector is read
+    # so rarely (a bound re-read at 1 lasts 16 letters).
+    n, letters = word
     vec = np.zeros(word_count(n), dtype=np.int64)
     vec[Word.identity(n).index] = 1
     for a in letters:
