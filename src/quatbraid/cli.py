@@ -142,6 +142,11 @@ def group(n, max_elements):
     _emit("group", result)
 
 
+# A level-n dimension is at most n!, and 1000! has 2568 digits, so every report up to
+# this many levels stays below Python's 4300-digit limit for printing an int.
+MAX_BRATTELI_LEVELS = 1000
+
+
 @cli.command()
 @click.option("--k", default=3, show_default=True)
 @click.option("--l", default=6, show_default=True)
@@ -150,6 +155,7 @@ def group(n, max_elements):
 @click.option("--dot", "dot_out", default=None, help="write the top-cut graph as DOT")
 def bratteli(k, l, levels, reduced, dot_out):
     """Level structure of the admissible-diagram Bratteli diagram."""
+    _check_range("--levels", levels, 1, MAX_BRATTELI_LEVELS)
     if dot_out is not None and levels < 2:
         raise ValueError(f"--dot needs at least two levels, got --levels {levels}")
     lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)

@@ -217,7 +217,7 @@ def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tupl
             return
         found += len(fresh)
         if found > cap:
-            raise EnumerationCapExceeded(cap, cap + 1)
+            raise EnumerationCapExceeded(cap, found)
         links.append(np.divmod(fresh, len(keys)))
         known_targets = np.concatenate([known_targets[-len(keys) :], targets[fresh]])
         known_signs = np.concatenate([known_signs[-len(keys) :], signs[fresh]])

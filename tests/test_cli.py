@@ -112,6 +112,7 @@ def test_invariant_bad_letter(runner):
         ["bratteli", "--dot", ""],
         ["invariant", "--strands", "5000", "--word", "1",
          {"error": "the invariant supports at most 4096 strands, got 5000"}],
+        ["bratteli", "--levels", "7144", {"error": "--levels must be at most 1000, got 7144"}],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):

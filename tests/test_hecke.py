@@ -118,8 +118,8 @@ def _element(n, v):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_integer_operators_match_q_zeta_generators(data):
-    # the checks' 2 s_i, 2 s_i^-1 and F_i = 2(1 + zeta) f_i on either side
-    # of a vector, against the Q(zeta) generators
+    # the relation checks' 2 s_i, 2 s_i^-1 and F_i = 2(1 + zeta) f_i on the
+    # right of a vector, against the Q(zeta) generators
     n = data.draw(st.integers(2, 5), label="n")
     i = data.draw(st.integers(1, n - 1), label="i")
     coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -130,21 +130,17 @@ def test_integer_operators_match_q_zeta_generators(data):
     x = _element(n, v)
     generators = braid_generator(n, i), braid_generator_inverse(n, i), idempotent(n, i)
     scales = Scalar.of(2), Scalar.of(2), Scalar.of(2, 2)
-    for left in (False, True):
-        for op, g, c in zip(_generators(n, i, left), generators, scales):
-            assert _element(n, op(v)) == (g * x if left else x * g).scale(c), (op, left)
+    for op, g, c in zip(_generators(n, i), generators, scales):
+        assert _element(n, op(v)) == (x * g).scale(c), op
 
 
 def test_checks_run_no_q_zeta_products(monkeypatch):
-    # the scaling constants are derived in Q(zeta) once; the checks' own work is integral
-    constants = markov_scaling_constants()
-
+    # the checks' work is integral
     def forbidden(*args):
         raise AssertionError("a Q(zeta) product ran inside a check")
 
     monkeypatch.setattr(AlgebraElement, "__mul__", forbidden)
     monkeypatch.setattr(Scalar, "__mul__", forbidden)
-    monkeypatch.setattr("quatbraid.hecke.markov_scaling_constants", lambda: constants)
     for n in (3, 4, 5):
         for report in (verify_relations(n), verify_conjugation_table(n), verify_markov(n)):
             assert report and all(e["pass"] for e in report), report
@@ -164,6 +160,37 @@ def test_flipped_table_sign_fails_a_relation(monkeypatch):
     monkeypatch.setattr(intspan, "t_action", flipped)
     report = verify_relations(4)
     assert [e for e in report if not e["pass"]]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_markov_statement_holds_in_q_zeta(n):
+    # the statement verify_markov reduces to integer identities, on every word b
+    # of the first n-2 positions: Tr(b s) = z+ Tr(b), Tr(b s^-1) = z- Tr(b) and
+    # Tr(f_{n-1} b) = (1/2) Tr(b)
+    z_pos, z_neg = markov_scaling_constants()
+    s, s_inv, f = braid_generator(n, n - 1), braid_generator_inverse(n, n - 1), idempotent(n, n - 1)
+    sub = range(1 << (n - 2))
+    for b in (AlgebraElement(n, {Word(n, e, v): ONE}) for e in sub for v in sub):
+        assert (b * s).trace() == z_pos * b.trace()
+        assert (b * s_inv).trace() == z_neg * b.trace()
+        assert (f * b).trace() == HALF * b.trace()
+
+
+@pytest.mark.parametrize("left, relation", [(False, "markov-scaling"), (True, "markov-span")])
+def test_flipped_table_sign_fails_a_markov_identity(monkeypatch, left, relation):
+    # the identity-term sign at word 0 of a T_3 table at n = 4 is the one entry
+    # of that table that reaches the trace; flipping it fails its side's identity only
+    real = intspan.t_action
+
+    def flipped(n, i, side=False):
+        sources, signs = real(n, i, side)
+        if (n, i, side) == (4, 3, left):
+            signs = signs.copy()
+            signs[0, 0] *= -1
+        return sources, signs
+
+    monkeypatch.setattr(intspan, "t_action", flipped)
+    assert [e["relation"] for e in verify_markov(4) if not e["pass"]] == [relation]
 
 
 def test_markov_scaling_constants():
@@ -273,9 +300,10 @@ _GATHER_CASES = [(n, shape) for n in (2, 3, 5, 6) for shape in ("vector", "zeta-
 
 @pytest.mark.parametrize("n, shape", _GATHER_CASES)
 def test_letter_gather_matches_table_formula(n, shape):
-    # every input shape a caller passes: the invariant's vector, hecke's
-    # (2, rows, 4^(n-1)) Z[zeta] stack, and the square identity matrix of
-    # left_regular_matrix and of the conjugation reference route (n <= 5 here);
+    # every input shape a caller passes: the invariant's vector, a (2, rows,
+    # 4^(n-1)) stack of hecke's Z[zeta] pairs, and the square identity matrix of
+    # left_regular_matrix and of the conjugation reference route, whose rows
+    # are like the Markov check's unit rows (n <= 5 here);
     # each row must read (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]]
     size = word_count(n)
     if shape == "identity":
