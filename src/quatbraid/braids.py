@@ -22,7 +22,11 @@ cancels: zeta^(-2e) c^p c'^m = zeta^(6m) / 2^L = 2^-L.  So
 where `intspan.t_word_trace` returns Tr(P) = 2^k t (t odd), applying each letter by
 `intspan.letter`, the package's one integer form of a letter.  The product
 lives on the strands the word braids, relabelled to 1..; each further strand
-is a split unknot and contributes its factor 2 through n.
+is a split unknot and contributes its factor 2 through n.  Within those, each
+letter runs in the strand-prefix algebra A_m (m - 1 the largest |letter| so
+far), whose words are the block of the larger algebra's words with no bit at or
+above m - 1, where the larger tables restrict to the A_m ones.  So a
+stabilization's last letter alone runs on the added strand's 4 times larger vector.
 
 `closed_form` is the suite's second route to the same value:
 
@@ -51,8 +55,10 @@ from quatbraid.hecke import braid_generator, braid_generator_inverse
 from quatbraid.scalar import Scalar
 
 # The most strands a word may braid (largest minus smallest |letter|, plus 2):
-# `invariant` works on 4^(n-1)-entry vectors with ~1 MB of table per generator at 8;
-# the -i tables share the sources of +i and add 0.5 MB of signs each.
+# `invariant` works on vectors of at most 4^(n-1) entries with ~1 MB of table per
+# generator at 8; the -i tables share the sources of +i and add 0.5 MB of signs
+# each.  A letter runs in the smallest strand prefix m <= n that holds the vector,
+# so the tables of every m <= n are cached, less than a third more than n's alone.
 MAX_BRAIDED_STRANDS = 8
 # The most strands in all: the unlink on n strands has normSq 4^(n-1), which at
 # 4096 prints in 2466 digits, inside Python's 4300-digit int-to-str limit.

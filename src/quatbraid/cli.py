@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import random
 import sys
 import time
@@ -145,6 +146,21 @@ def group(n, max_elements):
 # A level-n dimension is at most n!, and 1000! has 2568 digits, so every report up to
 # this many levels stays below Python's 4300-digit limit for printing an int.
 MAX_BRATTELI_LEVELS = 1000
+# The k-1 row differences of a level's diagram sum to at most l-k, so a level holds at
+# most C(l-1, k-1) diagrams.  At 1000 levels, k = 3 and l = 33 (C = 496) peaked at
+# 288 MB and printed 47 MB; k = 5, l = 1000 passed 6 GB unbounded.
+MAX_BRATTELI_DIAGRAMS = 500
+
+
+def _check_bratteli_width(k: int, l: int) -> None:
+    """ValueError when C(l-1, k-1) passes MAX_BRATTELI_DIAGRAMS (k < 1 or l <= k
+    is left to `diagrams.bratteli_levels`)."""
+    r = min(k - 1, l - k)
+    # C(l-1, r) >= 2^r because 2r <= l-1, so a large r needs no binomial
+    if r >= 0 and (r >= MAX_BRATTELI_DIAGRAMS.bit_length() or math.comb(l - 1, r) > MAX_BRATTELI_DIAGRAMS):
+        raise ValueError(
+            f"--k {k} --l {l} allow C(l-1, k-1) diagrams per level, more than {MAX_BRATTELI_DIAGRAMS}"
+        )
 
 
 @cli.command()
@@ -156,6 +172,7 @@ MAX_BRATTELI_LEVELS = 1000
 def bratteli(k, l, levels, reduced, dot_out):
     """Level structure of the admissible-diagram Bratteli diagram."""
     _check_range("--levels", levels, 1, MAX_BRATTELI_LEVELS)
+    _check_bratteli_width(k, l)
     if dot_out is not None and levels < 2:
         raise ValueError(f"--dot needs at least two levels, got --levels {levels}")
     lv = diagrams.bratteli_levels(k, l, levels, reduced=reduced)

@@ -253,13 +253,16 @@ def _central_rows(keys: np.ndarray, links: Links, signed: np.ndarray, checks: li
 
     Each of `checks` (from `_central_checks`) compares a.el with el.a on one
     word u_i, v_i and one action a, on the keys that passed every comparison
-    before; el.a is the product of the key codes at the factors.  The full
-    row of each element that passes is rebuilt from `links` and checked to
-    commute with every table of `signed` on every word.
+    before; el.a is the product of the key codes at the factors.  The test
+    stops once no key is left.  The full row of each element that passes is
+    rebuilt from `links` and checked to commute with every table of `signed`
+    on every word.
     """
     n = keys.shape[1] // 2 + 1
     alive = np.arange(len(keys))
     for a, k, sign, factors in checks:
+        if not alive.size:
+            return []
         rows = keys[alive]
         el_a = rows[:, factors[0]]
         for f in factors[1:]:

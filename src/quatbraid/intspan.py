@@ -11,7 +11,12 @@ either sign, applies its table as one `take` along the word axis, for any
 leading shape, and holds the 2^31 guard; it reads every entry unless its
 caller passes a proven bound below 2^31.
 `t_word_trace` multiplies 1 by one letter at a time and reads off the identity
-coefficient; `braids.invariant` is built on it.  It carries such a bound,
+coefficient; `braids.invariant` is built on it.  It applies each letter in the
+smallest strand-prefix algebra A_m that holds the vector so far, and grows the
+vector into A_(|a|+1) as the top-left block of its eps x nu grid only when a
+letter a with |a| >= m arrives: `t_action(m, a)` is `t_action(n, a)` restricted
+to the words of A_m, since `sign_bits` reads no bit at or above m - 1 of them.
+It carries a proven bound,
 times 4 per letter of either sign (four terms with signs +-1), and only when
 the bound reaches 2^31 divides out the common factors 2 and reads the vector.
 Closing {1} under right multiplication by every T_i, one word length per round
@@ -152,7 +157,17 @@ def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np
 def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     """(t, k) with 2^k t the identity coefficient of the product of T_i (letter +i)
     and 2 - T_i (letter -i), multiplied on the right starting from 1; t is odd,
-    or (t, k) = (0, 0).
+    or (t, k) = (0, 0).  Raises ValueError for a letter a = 0 or |a| >= n.
+
+    The vector starts as the 1-entry vector of the 1-strand algebra and lives
+    in the m-strand algebra, m the most strands its letters so far need.  A
+    letter a with |a| >= m first grows it by `_embed` to |a| + 1 strands; the
+    rest run in 4^(m-1) entries, not 4^(n-1).  That is exact: the m-strand
+    words are the (n-strand) words with no bit at or above m - 1 in eps or nu,
+    those words times u_i, v_i (i < m) stay among them, and `sign_bits` reads
+    no such bit, so `t_action(m, a)` is `t_action(n, a)` restricted to that
+    block.  The padding is zeros, so it changes no bound, no factor 2 and no
+    guard, and word 0 is the identity at every m.
 
     A bound on max|vec|, times 4 per letter, is carried.  Only when it reaches
     2^31 are the common factors 2 divided out of vec (the image group is
@@ -163,23 +178,35 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     OverflowError on the same letter as a read of every entry before every
     letter would, and below the bound no entry can reach 2^31.
     """
-    one = Word.identity(n).index
-    vec = np.zeros(word_count(n), dtype=np.int64)
-    vec[one] = 1
-    k, bound = 0, 1
+    vec = np.ones(1, dtype=np.int64)
+    m, k, bound = 1, 0, 1
     for a in letters:
         if bound >= _ENTRY_LIMIT:
             twos = _twos(int(np.bitwise_or.reduce(vec)))
             vec >>= twos
             k += twos
             bound = _magnitude(vec)
-        vec = letter(vec, n, a, bound=bound)
+        i = abs(a)
+        if i >= m:
+            if i >= n:
+                raise ValueError(f"generator index {i} out of range for n={n}")
+            vec, m = _embed(vec, m, i + 1), i + 1
+        vec = letter(vec, m, a, bound=bound)
         bound *= 4
-    t = int(vec[one])
+    t = int(vec[0])
     if not t:
         return 0, 0
     twos = _twos(t)
     return t >> twos, k + twos
+
+
+def _embed(vec: np.ndarray, m: int, n: int) -> np.ndarray:
+    """An m-strand coefficient vector as the n-strand one (m <= n): the words
+    (eps, nu) keep their masks, at index eps 2^(n-1) + nu, and every other entry is 0."""
+    side, big = 1 << (m - 1), 1 << (n - 1)
+    grid = np.zeros((big, big), dtype=vec.dtype)
+    grid[:side, :side] = vec.reshape(side, side)
+    return grid.reshape(-1)
 
 
 def _twos(x: int) -> int:

@@ -113,6 +113,12 @@ def test_invariant_bad_letter(runner):
         ["invariant", "--strands", "5000", "--word", "1",
          {"error": "the invariant supports at most 4096 strands, got 5000"}],
         ["bratteli", "--levels", "7144", {"error": "--levels must be at most 1000, got 7144"}],
+        ["bratteli", "--k", "5", "--l", "1000", "--levels", "1000",
+         {"error": "--k 5 --l 1000 allow C(l-1, k-1) diagrams per level, more than 500"}],
+        ["bratteli", "--k", "2", "--l", "502", "--levels", "2"],
+        ["bratteli", "--k", "3", "--l", "34", "--levels", "2"],
+        ["bratteli", "--k", str(10**20), "--l", str(10**20 + 1), "--levels", "2"],
+        ["bratteli", "--k", "3", "--l", str(10**20), "--levels", "2"],
     ],
 )
 def test_bad_input_is_one_line_error(runner, tmp_path, args):
@@ -135,6 +141,14 @@ def test_bad_input_is_one_line_error(runner, tmp_path, args):
     _assert_one_line_error(result)
     assert message is None or result.output == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] in ([], ["input.json"])
+
+
+@pytest.mark.parametrize("k, l", [(2, 501), (3, 33)])
+def test_bratteli_width_bound_admits_its_cap(runner, k, l):
+    # a level holds at most C(l-1, k-1) diagrams: 500 and 496 pass (501 and 528 are
+    # bad input above)
+    result = runner.invoke(cli, ["bratteli", "--k", str(k), "--l", str(l), "--levels", "2"])
+    assert result.exit_code == 0, result.output
 
 
 def test_help_exits_zero(runner):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatbraid import image_group, intspan
 from quatbraid.algebra import AlgebraElement, Word, mul_words, quad_words, word_count
+from quatbraid.braids import BraidWord, invariant
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     S_COEFF,
@@ -447,9 +448,16 @@ def _normalized_trace(n, letters):
 
 
 def _letters(max_n):
-    n = st.integers(2, max_n)
-    return n.flatmap(lambda n: st.tuples(st.just(n), st.lists(
-        st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=40)))
+    def letters(top):
+        return st.integers(1, top).flatmap(lambda i: st.sampled_from([i, -i]))
+
+    def words(n):
+        # a stabilization: letters below n - 1, then one +-(n - 1)
+        head = st.lists(letters(n - 2), max_size=39) if n > 2 else st.just([])
+        stabilized = st.tuples(head, st.sampled_from([n - 1, 1 - n])).map(lambda p: p[0] + [p[1]])
+        return st.tuples(st.just(n), st.one_of(st.lists(letters(n - 1), max_size=40), stabilized))
+
+    return st.integers(2, max_n).flatmap(words)
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,6 +469,37 @@ def test_word_trace_matches_normalizing_after_every_letter(word):
     want_t, want_k = _normalized_trace(n, letters)
     assert t * 2**k == want_t * 2**want_k, (n, letters)
     assert t % 2 == 1 or (t, k) == (0, 0), (n, letters)
+
+
+def test_word_trace_grows_the_vector_with_the_letters(monkeypatch):
+    # a stabilized 5-strand braid runs in the 256-entry 5-strand block until its
+    # last letter, which alone needs the 1024 entries of 6 strands
+    sizes = []
+    real = intspan.letter
+    monkeypatch.setattr(intspan, "letter", lambda vecs, n, a, **kw: sizes.append(vecs.size) or real(vecs, n, a, **kw))
+    beta = BraidWord(5, (4, -1, 2, -3, 1, 4, -2))
+    base = invariant(beta)
+    for sign in (1, -1):
+        sizes.clear()
+        assert invariant(beta.stabilize(sign)) == base
+        assert sizes == [256] * len(beta.letters) + [1024], sign
+
+
+def test_word_trace_grows_several_strands_in_one_letter():
+    # the second letter grows the vector from 2 strands to 8
+    t, k = intspan.t_word_trace(8, [1, 7])
+    want_t, want_k = _normalized_trace(8, [1, 7])
+    assert t * 2**k == want_t * 2**want_k
+
+
+def test_word_trace_of_the_empty_word_is_one():
+    assert intspan.t_word_trace(1, []) == intspan.t_word_trace(5, []) == (1, 0)
+
+
+@pytest.mark.parametrize("letters", [[3], [-3], [1, 2, -3], [2, 1, 3], [1, 0]])
+def test_word_trace_rejects_a_letter_out_of_range(letters):
+    with pytest.raises(ValueError):
+        intspan.t_word_trace(3, letters)
 
 
 @settings(max_examples=60, deadline=None)
