@@ -190,7 +190,7 @@ def bratteli(k, l, levels, reduced, dot_out):
         ],
     }
     if dot_out is not None:
-        nodes, edges = diagrams.principal_graph_cut(k, l, (levels - 1, levels), reduced=reduced)
+        nodes, edges = diagrams.level_cut(lv[-2], lv[-1])
         with open(dot_out, "w") as fh:
             fh.write(diagrams.to_dot(nodes, edges) + "\n")
         report["dot"] = dot_out

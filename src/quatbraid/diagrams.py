@@ -112,15 +112,19 @@ def bratteli_levels(k: int, l: int, levels: int, reduced: bool = False) -> list[
 
 
 def principal_graph_cut(k: int, l: int, cut: tuple[int, int], reduced: bool = True):
-    """Bipartite graph between two consecutive levels: (nodes, edges).
-
-    Nodes are ("lo", label) / ("hi", label); edges come from box addition.
-    """
+    """Bipartite graph between two consecutive levels: (nodes, edges), by `level_cut`."""
     lo, hi = cut
     if hi != lo + 1:
         raise ValueError("cut must be two consecutive levels")
     levels = bratteli_levels(k, l, hi, reduced=reduced)
-    lo_level, hi_level = levels[lo - 1], levels[hi - 1]
+    return level_cut(levels[lo - 1], levels[hi - 1])
+
+
+def level_cut(lo_level: BratteliLevel, hi_level: BratteliLevel):
+    """Bipartite graph between a level and the next one: (nodes, edges).
+
+    Nodes are ("lo", label) / ("hi", label); edges come from box addition.
+    """
     nodes = [("lo", lo_level.labels[d]) for d in lo_level.nodes] + [
         ("hi", hi_level.labels[d]) for d in hi_level.nodes
     ]

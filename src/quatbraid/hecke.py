@@ -4,15 +4,14 @@ The generator attached to position i is
 
     s_i = (-1/(2 zeta)) (1 + u_i + v_i + u_i v_i) = (zeta^2/2) T_i
 
-with inverse (zeta^4/2)(2 - T_i) and idempotent f_i = (zeta - s_i)/(1 + zeta),
-built here over Q(zeta) as the tests' reference.  The checks of the braid,
-quadratic and idempotent relations take each relation times a constant, so
-that only 2 s_i, 2 s_i^-1 and F_i = 2(1 + zeta) f_i = 2 zeta - 2 s_i occur.
-They apply the integer letters T_i and 2 - T_i of `intspan.letter` to Z[zeta]
-vectors: int64 arrays v of shape (2, 4^(n-1)) holding v[0] + zeta v[1] on the
-word basis.  The Markov property reduces to two integer identities,
+with inverse (zeta^4/2)(2 - T_i), built here over Q(zeta) as the tests'
+reference.  Every check is an integer identity of T_i and 2 - T_i, the letters
++i and -i of `intspan.letter`, on integer unit rows; no check holds a Z[zeta]
+vector.  The braid, quadratic and idempotent relations, each times a constant,
+have 1- and zeta-parts that are such identities on the unit row of 1 (derived
+at `verify_relations`).  The Markov property reduces to
 Tr(T_{n-1} b) = Tr(b) = Tr(b T_{n-1}) on the words b of the first n-2
-positions (derived at `verify_markov`), checked on integer unit rows.
+positions (derived at `verify_markov`).
 The dimension of the subalgebra the s_i generate comes from exact span
 closure over the integers: the Q(zeta)-dimension of a span of rational
 vectors is their Q-rank.  The s_1 conjugation check reads `image_group`'s table.
@@ -27,7 +26,7 @@ import numpy as np
 
 from quatbraid import intspan
 from quatbraid.algebra import AlgebraElement, Word, quad_words, word_count
-from quatbraid.scalar import ONE, Scalar, ZETA, times_zeta
+from quatbraid.scalar import Scalar
 
 # s_i = S_COEFF T_i and s_i^-1 = _SINV_COEFF (1 - u_i - v_i - u_i v_i), with
 # S_COEFF = -1/(2 zeta) = (zeta - 1)/2 and _SINV_COEFF = -zeta/2
@@ -53,36 +52,13 @@ def braid_generator_inverse(n: int, i: int) -> AlgebraElement:
     return _quad_span(n, i, _SINV_COEFF, (1, -1, -1, -1))
 
 
-def idempotent(n: int, i: int) -> AlgebraElement:
-    """f_i = (zeta - s_i)/(1 + zeta); satisfies f_i^2 = f_i."""
-    q = ZETA
-    s = braid_generator(n, i)
-    num = AlgebraElement.scalar(n, q) - s
-    return num.scale((ONE + q).inverse())
+# --- the checks, as integer identities of T_i on unit rows ----------------------
 
-
-# --- the checks, on Z[zeta] vectors ------------------------------------------
-
-def _zeta(v, k: int = 1):
-    """zeta^k v: the one rule `times_zeta` applied k times to the pair, then one array."""
-    a, b = v
-    for _ in range(k):
-        a, b = times_zeta(a, b)
-    return np.array((a, b))
-
-
-def _generators(n: int, i: int):
-    """The maps v -> v (2 s_i) = zeta^2 v T_i, v (2 s_i^-1) = zeta^4 v (2 - T_i) and v F_i."""
-    letter = functools.partial(intspan.letter, n=n)
-    return (lambda v: _zeta(letter(v, a=i), 2), lambda v: _zeta(letter(v, a=-i), 4),
-            lambda v: 2 * _zeta(v) - _zeta(letter(v, a=i), 2))
-
-
-def _words(n: int, indices: list[int]):
-    """The basis words at indices as one stack of vectors, shape (2, len(indices), 4^(n-1))."""
-    stack = np.zeros((2, len(indices), word_count(n)), dtype=np.int64)
-    stack[0, np.arange(len(indices)), indices] = 1
-    return stack
+def _words(n: int, indices: list[int]) -> np.ndarray:
+    """The unit rows of the basis words at indices, shape (len(indices), 4^(n-1))."""
+    rows = np.zeros((len(indices), word_count(n)), dtype=np.int64)
+    rows[np.arange(len(indices)), indices] = 1
+    return rows
 
 
 def _entry(relation: str, indices, ok) -> dict:
@@ -90,41 +66,51 @@ def _entry(relation: str, indices, ok) -> dict:
 
 
 def verify_relations(n: int) -> list[dict]:
-    """Check the braid, quadratic and idempotent relations exactly.
+    """Check the braid, quadratic and idempotent relations exactly, as integer
+    identities of T = T_i and 2 - T_i (letters +i and -i) on the unit row of 1.
 
     Returns one report entry per relation instance; failures are entries with
-    pass=False, never exceptions.  Scaled by 8: B1, B2, cube; by 4: E1, inverse;
-    by 4(1+zeta)^2: H1; by 8(1+zeta)^3: H3, where f_i has coefficient zeta/(1+zeta)^2.
-    At n = 2 only E1, inverse, cube and H1 occur.
+    pass=False, never exceptions.  Each relation is scaled so that only
+    2 s = zeta^2 T, 2 s^-1 = zeta^4 (2 - T) and F = 2(1 + zeta) f = 2 zeta - 2 s
+    = zeta^2 (a - T) occur, a = 2 zeta^-1 = 2 - 2 zeta: by 8 B1, B2 and cube, by
+    4 E1 and inverse, by 4(1 + zeta)^2 H1, by 8(1 + zeta)^3 H3, where f_i has
+    coefficient zeta/(1 + zeta)^2.  Since zeta^6 = 1, each scaled difference
+    is a zeta-multiple of one integer difference, or for H3 p + q zeta with
+    integer differences p and q; 1 and zeta are independent over Q, so:
+    B1: (2s_i)(2s_j)(2s_i) - (2s_j)(2s_i)(2s_j) = T_i T_j T_i - T_j T_i T_j, j = i + 1;
+    B2: (2s_i)(2s_j) - (2s_j)(2s_i) = zeta^4 (T_i T_j - T_j T_i), |i - j| >= 2;
+    E1: (2s - 2 zeta)(2s + 2) = zeta^4 (T^2 - 2T + 4);
+    inverse: (2s)(2s^-1) - 4 = T(2 - T) - 4;  cube: (2s)^3 + 8 = T^3 + 8;
+    H1: F^2 - 2(1 + zeta) F = zeta^4 (T^2 - 2T + 4), the same identity as E1;
+    H2: F_i F_j - F_j F_i = zeta^4 (T_i T_j - T_j T_i), the same as B2;
+    H3: (F_i F_j F_i - 4 zeta F_i) - (F_j F_i F_j - 4 zeta F_j)
+        = a (T_i^2 - 2T_i - T_j^2 + 2T_j) - (T_i T_j T_i - T_j T_i T_j), j = i + 1,
+    zero exactly when B1 holds and T_i^2 - 2T_i = T_j^2 - 2T_j.
+    These expansions use no relation among the T_i, so they hold for whatever
+    the tables compute, and a wrong table fails the same entries as the scaled
+    relations would.  At n = 2 only E1, inverse, cube and H1 occur.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    s, s_inv, f = zip(*(_generators(n, i) for i in range(1, n)))
-    one, far = _words(n, [0])[:, 0], [(i, j) for i in range(n - 1) for j in range(i + 2, n - 1)]
-    report = []
+    one = _words(n, [0])[0]
 
-    def prod(*factors):
-        return functools.reduce(lambda v, g: g(v), factors, one)
+    def prod(*letters):  # 1 times the letters, left to right
+        return functools.reduce(lambda v, a: intspan.letter(v, n, a), letters, one)
 
-    def check(relation, indices, lhs, rhs):
-        report.append(_entry(relation, indices, np.array_equal(lhs, rhs)))
-
-    for i in range(n - 2):
-        check("B1", (i + 1,), prod(s[i], s[i + 1], s[i]), prod(s[i + 1], s[i], s[i + 1]))
-    for i, j in far:
-        check("B2", (i + 1, j + 1), prod(s[i], s[j]), prod(s[j], s[i]))
-    for i in range(n - 1):
-        quad = s[i](one) - 2 * _zeta(one)
-        check("E1", (i + 1,), s[i](quad) + 2 * quad, 0 * one)
-        check("inverse", (i + 1,), prod(s[i], s_inv[i]), 4 * one)
-        check("cube=-1", (i + 1,), prod(s[i], s[i], s[i]), -8 * one)
-    for i in range(n - 1):
-        check("H1", (i + 1,), prod(f[i], f[i]), 2 * (f[i](one) + _zeta(f[i](one))))
-    for i, j in far:
-        check("H2", (i + 1, j + 1), prod(f[i], f[j]), prod(f[j], f[i]))
-    for i in range(n - 2):
-        check("H3", (i + 1,), prod(f[i], f[i + 1], f[i]) - 4 * _zeta(f[i](one)),
-              prod(f[i + 1], f[i], f[i + 1]) - 4 * _zeta(f[i + 1](one)))
+    gens, far = range(1, n), [(i, j) for i in range(1, n) for j in range(i + 2, n)]
+    braid = {i: np.array_equal(prod(i, i + 1, i), prod(i + 1, i, i + 1)) for i in range(1, n - 1)}
+    commute = {p: np.array_equal(prod(*p), prod(*p[::-1])) for p in far}
+    quad = {i: prod(i, i) - 2 * prod(i) for i in gens}  # T_i^2 - 2 T_i
+    square = {i: np.array_equal(quad[i], -4 * one) for i in gens}
+    report = [_entry("B1", (i,), ok) for i, ok in braid.items()]
+    report += [_entry("B2", p, ok) for p, ok in commute.items()]
+    for i in gens:
+        report += [_entry("E1", (i,), square[i]),
+                   _entry("inverse", (i,), np.array_equal(prod(i, -i), 4 * one)),
+                   _entry("cube=-1", (i,), np.array_equal(prod(i, i, i), -8 * one))]
+    report += [_entry("H1", (i,), square[i]) for i in gens]
+    report += [_entry("H2", p, ok) for p, ok in commute.items()]
+    report += [_entry("H3", (i,), ok and np.array_equal(quad[i], quad[i + 1])) for i, ok in braid.items()]
     return report
 
 
@@ -152,13 +138,6 @@ def verify_conjugation_table(n: int) -> list[dict]:
     return [_entry("conjugation", [name], codes[x] == 2 * image + (sign < 0)) for name, x, image, sign in expected]
 
 
-def markov_scaling_constants() -> tuple[Scalar, Scalar]:
-    """Trace multipliers for appending s_{n-1} resp. its inverse: ((q-1)/2, (1-q)/(2q))."""
-    q = ZETA
-    half = Scalar.of(Fraction(1, 2))
-    return (q - ONE) * half, (ONE - q) * half / q
-
-
 def verify_markov(n: int) -> list[dict]:
     """The Markov property of the trace as Tr(T b) = Tr(b) = Tr(b T), with T = T_{n-1}
     and s = s_{n-1} = (zeta^2/2) T, for every word b in the first n-2 positions.
@@ -167,8 +146,9 @@ def verify_markov(n: int) -> list[dict]:
     2 zeta - zeta^2 T, so Tr(f_{n-1} b) = (1/2) Tr(b), times 2(1 + zeta), reads
     Tr(F b) = (1 + zeta) Tr(b), i.e. zeta^2 Tr(T b) = (zeta - 1) Tr(b); as
     zeta^2 = zeta - 1 it holds exactly when Tr(T b) = Tr(b) (`markov-span`).
-    The constants z+- of `markov_scaling_constants` have 2 z+ = zeta - 1 = zeta^2
-    and 2 z- = -zeta = zeta^4, so Tr(b (2 s)) = zeta^2 Tr(b T) = 2 z+ Tr(b) and
+    The trace multipliers z+ = (zeta - 1)/2 of s and z- = (1 - zeta)/(2 zeta) =
+    -zeta/2 of s^-1 have 2 z+ = zeta^2 and 2 z- = zeta^4, so
+    Tr(b (2 s)) = zeta^2 Tr(b T) = 2 z+ Tr(b) and
     Tr(b (2 s^-1)) = zeta^4 (2 Tr(b) - Tr(b T)) = 2 z- Tr(b) both hold exactly
     when Tr(b T) = Tr(b) (`markov-scaling`).  Both sides are linear in b, so the
     words (unit rows, intspan.BLOCK_ROWS to one `letter` call) stand for the whole sub-strand algebra.
@@ -177,7 +157,7 @@ def verify_markov(n: int) -> list[dict]:
         raise ValueError("need n >= 3")
     sub = range(1 << (n - 2))
     words, step = [Word(n, e, v).index for e in sub for v in sub], intspan.BLOCK_ROWS
-    blocks = [_words(n, words[k:k + step])[0] for k in range(0, len(words), step)]
+    blocks = [_words(n, words[k:k + step]) for k in range(0, len(words), step)]
 
     def fixed(left: bool) -> bool:
         return all(np.array_equal(intspan.letter(rows, n, n - 1, left)[:, 0], rows[:, 0]) for rows in blocks)

@@ -81,7 +81,11 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     coefficient vectors over the word basis, one per row (T_i vecs and
     (2 - T_i) vecs when left is true).
 
-    vecs may have any leading shape; the last axis is the word axis.  The four
+    vecs may have any leading shape; the last axis is the word axis.  Callers
+    pass one integer vector (`t_word_trace`, the unit row of 1 in
+    `hecke.verify_relations`) or 2-D integer rows (blocks of `t_word_rank`, the
+    unit rows of `hecke.verify_markov`, the generator-word rows and identity
+    matrix of `image_group`).  The four
     terms of `t_action(n, a, left)` are one `take` of the sources along it,
     shape (..., 4, 4^(n-1)), signed in place and summed, the same for either
     sign of a; vecs and the cached table stay unchanged.

@@ -59,7 +59,7 @@ def read_json(path: str | Path):
     try:
         with open(path) as fh:  # not Path(path), which reads the path "" as "."
             return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to parse
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 

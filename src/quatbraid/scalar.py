@@ -1,24 +1,20 @@
 """Exact arithmetic in Q(zeta) where zeta = e^(i*pi/3), a primitive 6th root of unity.
 
 Elements are stored on the basis {1, zeta} with the reduction zeta^2 = zeta - 1
-(minimal polynomial x^2 - x + 1), applied by `times_zeta` alone, on rationals
-or elementwise on integer arrays.  Coefficients are exact rationals, so every
-operation in the package is exact; there is no floating point anywhere.
+(minimal polynomial x^2 - x + 1), applied in `Scalar.__mul__` alone.
+Coefficients are exact rationals, so every operation in the package is exact;
+there is no floating point anywhere.
 
 Scalars are coefficients of algebra elements and results such as the
-invariant, never matrix entries: every matrix the package eliminates is
-integral and handled in `intspan`.
+invariant, never matrix entries or vector coordinates: every matrix and
+vector the package computes with is integral and handled in `intspan`, and
+the `hecke` checks are integer identities of T_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-def times_zeta(a, b):
-    """(a + b zeta) zeta as a pair: a zeta + b zeta^2 = -b + (a + b) zeta."""
-    return -b, a + b
 
 
 @dataclass(frozen=True)
@@ -42,9 +38,9 @@ class Scalar:
         return Scalar(-self.a, -self.b)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        # (a + b z)(c + d z) = c (a + b z) + d (a + b z) z
-        za, zb = times_zeta(self.a, self.b)
-        return Scalar(other.a * self.a + other.b * za, other.a * self.b + other.b * zb)
+        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2, and z^2 = z - 1
+        bd = self.b * other.b
+        return Scalar(self.a * other.a - bd, self.a * other.b + self.b * other.a + bd)
 
     def conj(self) -> Scalar:
         # conj(zeta) = 1 - zeta

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from quatbraid import braids, cli as cli_module, linktable
+from quatbraid import braids, cli as cli_module, diagrams, linktable
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import BraidWord, evaluate, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
@@ -182,14 +182,20 @@ def test_group_cap_exceeded_is_inconclusive(runner):
     assert report["conclusive"] is False
 
 
-def test_bratteli(runner, tmp_path):
+def test_bratteli(runner, monkeypatch, tmp_path):
+    # the DOT cut is read off the levels the report already built: one bratteli_levels call
+    calls = []
+    real = diagrams.bratteli_levels
+    monkeypatch.setattr(diagrams, "bratteli_levels", lambda *args, **kw: calls.append(args) or real(*args, **kw))
     dot = tmp_path / "graph.dot"
     result = runner.invoke(
         cli, ["bratteli", "--levels", "7", "--reduced", "--dot", str(dot)]
     )
     report = json.loads(result.output)
     assert [len(lv["nodes"]) for lv in report["levels"]] == [1, 2, 3, 3, 3, 4, 3]
-    assert dot.exists() and "graph bratteli" in dot.read_text()
+    assert calls == [(3, 6, 7)]
+    # the graph principal_graph_cut gives from levels of its own
+    assert dot.read_text() == diagrams.to_dot(*diagrams.principal_graph_cut(3, 6, (6, 7))) + "\n"
 
 
 def test_cover_dim_matrix(runner, tmp_path):
@@ -263,11 +269,14 @@ def test_link_table_braiding_too_many_strands_fails_before_any_check(runner, mon
     "command", [["cover-dim", "--seifert"], ["suite", "--config"], ["suite", "--link-table"]]
 )
 def test_malformed_json_has_one_wording(runner, tmp_path, command):
+    # a syntax error, and nesting too deep for the parser (a RecursionError)
     path = tmp_path / "input.json"
-    path.write_text("{not json")
-    result = runner.invoke(cli, command + [str(path)])
-    _assert_one_line_error(result)
-    assert result.output.startswith(f"error: {path} is not valid JSON: Expecting property name")
+    nested = "[" * 200000 + "]" * 200000
+    for text, reason in [("{not json", "Expecting property name"), (nested, "maximum recursion depth")]:
+        path.write_text(text)
+        result = runner.invoke(cli, command + [str(path)])
+        _assert_one_line_error(result)
+        assert result.output.startswith(f"error: {path} is not valid JSON: {reason}")
 
 
 def test_suite_flags_override_config(runner, tmp_path):

@@ -13,21 +13,28 @@ from quatbraid.braids import BraidWord, invariant
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     S_COEFF,
-    _generators,
     braid_generator,
     braid_generator_inverse,
-    idempotent,
-    markov_scaling_constants,
     subalgebra_dimension,
     verify_conjugation_table,
     verify_markov,
     verify_relations,
 )
 from quatbraid.intspan import _insert, _reduce, letter, t_action, t_word_rank
-from quatbraid.scalar import ONE, Scalar, ZETA
+from quatbraid.scalar import ONE, Scalar, ZETA, qpow
 
 
-HALF = Scalar.of(Fraction(1, 2))
+HALF, TWO = Scalar.of(Fraction(1, 2)), Scalar.of(2)
+
+
+def idempotent(n, i):
+    """f_i = (zeta - s_i)/(1 + zeta); satisfies f_i^2 = f_i."""
+    return (AlgebraElement.scalar(n, ZETA) - braid_generator(n, i)).scale((ONE + ZETA).inverse())
+
+
+def markov_scaling_constants():
+    """Trace multipliers for appending s_{n-1} resp. its inverse: ((q-1)/2, (1-q)/(2q))."""
+    return (ZETA - ONE) * HALF, (ONE - ZETA) * HALF / ZETA
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -110,29 +117,57 @@ def test_markov(n):
     assert all(e["pass"] for e in report), report
 
 
-def _element(n, v):
-    """A Z[zeta] coefficient vector of shape (2, 4^(n-1)) as an AlgebraElement."""
-    terms = {Word.from_index(n, x): Scalar.of(int(a), int(b)) for x, (a, b) in enumerate(v.T)}
-    return AlgebraElement(n, terms)
+def _t(n, i):
+    """T_i = 1 + u_i + v_i + u_i v_i as an AlgebraElement."""
+    return AlgebraElement(n, {w: ONE for w in quad_words(n, i)})
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_integer_operators_match_q_zeta_generators(data):
-    # the relation checks' 2 s_i, 2 s_i^-1 and F_i = 2(1 + zeta) f_i on the
-    # right of a vector, against the Q(zeta) generators
-    n = data.draw(st.integers(2, 5), label="n")
-    i = data.draw(st.integers(1, n - 1), label="i")
-    coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    terms = data.draw(st.dictionaries(st.integers(0, word_count(n) - 1), coeffs, max_size=6), label="terms")
-    v = np.zeros((2, word_count(n)), dtype=np.int64)
-    for x, pair in terms.items():
-        v[:, x] = pair
-    x = _element(n, v)
-    generators = braid_generator(n, i), braid_generator_inverse(n, i), idempotent(n, i)
-    scales = Scalar.of(2), Scalar.of(2), Scalar.of(2, 2)
-    for op, g, c in zip(_generators(n, i), generators, scales):
-        assert _element(n, op(v)) == (x * g).scale(c), op
+@pytest.mark.parametrize("n", [3, 4])
+def test_relation_statements_hold_in_q_zeta(n):
+    # verify_relations' docstring: each scaled relation's difference is the stated
+    # zeta-multiple of its integer identity's difference.  The expansions use no
+    # relation among the T_i, so they are checked with X_i = T_i plus a seeded
+    # integer perturbation in place of T_i (the relations themselves then fail),
+    # s_i, s_i^-1, f_i built from X_i as the reference builds them from T_i.
+    rng = random.Random(n)
+    one, a, c = AlgebraElement.one(n), TWO * qpow(-1), lambda k: AlgebraElement.scalar(n, Scalar.of(k))
+    s_inv_coeff = ZETA**4 * HALF
+
+    def generators(x):
+        s = x.scale(S_COEFF)
+        return s.scale(TWO), (c(2) - x).scale(s_inv_coeff * TWO), (one.scale(ZETA) - s).scale(TWO)  # F = 2 zeta - 2 s
+
+    for i in range(1, n):  # generators(T_i) reproduces the reference
+        s2, s2_inv, big_f = generators(_t(n, i))
+        assert s2 == braid_generator(n, i).scale(TWO) and s2_inv == braid_generator_inverse(n, i).scale(TWO)
+        assert big_f == idempotent(n, i).scale(Scalar.of(2, 2))
+    def perturbation():
+        words = (Word.from_index(n, rng.randrange(word_count(n))) for _ in range(3))
+        return AlgebraElement(n, {w: Scalar.of(rng.choice([-2, -1, 1, 2])) for w in words})
+
+    xs = {i: _t(n, i) + perturbation() for i in range(1, n)}
+    gens = {i: generators(x) for i, x in xs.items()}
+    for i, x in xs.items():
+        s2, s2_inv, big_f = gens[i]
+        quad = x * x - x.scale(TWO) + c(4)  # T^2 - 2T + 4
+        assert quad != AlgebraElement(n)
+        assert (s2 - one.scale(TWO * ZETA)) * (s2 + c(2)) == quad.scale(qpow(4))  # E1
+        assert s2 * s2_inv - c(4) == x * (c(2) - x) - c(4)  # inverse
+        assert s2 * s2 * s2 + c(8) == x * x * x + c(8)  # cube
+        assert big_f * big_f - big_f.scale(TWO * (ONE + ZETA)) == quad.scale(qpow(4))  # H1
+    for i in range(1, n - 1):
+        (s_i, _, f_i), (s_j, _, f_j), x_i, x_j = gens[i], gens[i + 1], xs[i], xs[i + 1]
+        braid = x_i * x_j * x_i - x_j * x_i * x_j
+        assert braid != AlgebraElement(n)
+        assert s_i * s_j * s_i - s_j * s_i * s_j == braid  # B1
+        four_zeta = Scalar.of(4) * ZETA
+        lhs = (f_i * f_j * f_i - f_i.scale(four_zeta)) - (f_j * f_i * f_j - f_j.scale(four_zeta))
+        assert lhs == (x_i * x_i - x_i.scale(TWO) - x_j * x_j + x_j.scale(TWO)).scale(a) - braid  # H3
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            (s_i, _, f_i), (s_j, _, f_j) = gens[i], gens[j]
+            commutator = (xs[i] * xs[j] - xs[j] * xs[i]).scale(qpow(4))
+            assert s_i * s_j - s_j * s_i == commutator == f_i * f_j - f_j * f_i  # B2, H2
 
 
 def test_checks_run_no_q_zeta_products(monkeypatch):
@@ -148,19 +183,44 @@ def test_checks_run_no_q_zeta_products(monkeypatch):
 
 
 def test_flipped_table_sign_fails_a_relation(monkeypatch):
-    # one wrong sign in the right T_2 table at n = 4 is a failing entry, not an exception
+    # one wrong sign in a right T_i table at n = 4 (letter -i derived from it, as
+    # t_action derives it) is failing entries, not an exception: one in T_2 fails
+    # every relation of s_2 and both braid relations, one in T_1 only the
+    # commutation with T_3.  The scaled relations over Z[zeta] fail the same entries.
+    real = intspan.t_action
+    flips = [
+        ((2, 1, 0), [("B1", [1]), ("B1", [2]), ("E1", [2]), ("inverse", [2]), ("cube=-1", [2]),
+                     ("H1", [2]), ("H3", [1]), ("H3", [2])]),
+        ((1, 2, 5), [("B2", [1, 3]), ("H2", [1, 3])]),
+    ]
+    for (i, k, y), failing in flips:
+        sources, signs = real(4, i)
+        signs = signs.copy()
+        signs[k, y] *= -1
+
+        def flipped(n, a, left=False, i=i, signs=signs):
+            if (n, abs(a), left) != (4, i, False):
+                return real(n, a, left)
+            return sources, signs * np.array([[1], [-1], [-1], [-1]]) if a < 0 else signs
+
+        monkeypatch.setattr(intspan, "t_action", flipped)
+        assert [(e["relation"], e["indices"]) for e in verify_relations(4) if not e["pass"]] == failing
+
+
+def test_shifted_tables_fail_h3_where_b1_holds(monkeypatch):
+    # T_i - 2 in place of every T_i (letter -i then 4 - T_i) still satisfies
+    # B1 and B2, but (T_i - 2)^2 - 2(T_i - 2) = 4 - 4 T_i differs between
+    # neighbours, so H3 must fail through its second identity
     real = intspan.t_action
 
-    def flipped(n, i, left=False):
-        sources, signs = real(n, i, left)
-        if (n, i, left) == (4, 2, False):
-            signs = signs.copy()
-            signs[1, 0] *= -1
-        return sources, signs
+    def shifted(n, a, left=False):
+        sources, signs = real(n, abs(a), left)
+        return sources, signs * (np.array([[3], [-1], [-1], [-1]]) if a < 0 else np.array([[-1], [1], [1], [1]]))
 
-    monkeypatch.setattr(intspan, "t_action", flipped)
-    report = verify_relations(4)
-    assert [e for e in report if not e["pass"]]
+    monkeypatch.setattr(intspan, "t_action", shifted)
+    failing = [(e["relation"], e["indices"]) for e in verify_relations(3) if not e["pass"]]
+    assert failing == [("E1", [1]), ("inverse", [1]), ("cube=-1", [1]), ("E1", [2]), ("inverse", [2]),
+                       ("cube=-1", [2]), ("H1", [1]), ("H1", [2]), ("H3", [1])]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -295,16 +355,45 @@ def test_integer_t_action_matches_sign_algebra(data):
         assert element(prod) == want.scale(coeff.inverse())
 
 
+def _element(n, v):
+    """A Z[zeta] coefficient vector of shape (2, 4^(n-1)) as an AlgebraElement."""
+    terms = {Word.from_index(n, x): Scalar.of(int(a), int(b)) for x, (a, b) in enumerate(v.T)}
+    return AlgebraElement(n, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_operators_match_q_zeta_generators(data):
+    # the scaled generators verify_relations reduces to letters, on Z[zeta]
+    # vectors v = v_0 + zeta v_1 on either side: v (2 s_i) = zeta^2 (v T_i),
+    # v (2 s_i^-1) = zeta^4 v (2 - T_i) and v F_i = zeta^2 (a v - v T_i),
+    # F_i = 2(1 + zeta) f_i, a = 2 zeta^-1; letter +-i acts on v_0 and v_1 apart
+    n = data.draw(st.integers(2, 5), label="n")
+    i = data.draw(st.integers(1, n - 1), label="i")
+    left = data.draw(st.booleans(), label="left")
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    terms = data.draw(st.dictionaries(st.integers(0, word_count(n) - 1), coeffs, max_size=6), label="terms")
+    v = np.zeros((2, word_count(n)), dtype=np.int64)
+    for x, pair in terms.items():
+        v[:, x] = pair
+    x, plus, minus = _element(n, v), _element(n, letter(v, n, i, left)), _element(n, letter(v, n, -i, left))
+    ops = plus.scale(qpow(2)), minus.scale(qpow(4)), (x.scale(TWO * qpow(-1)) - plus).scale(qpow(2))
+    generators = braid_generator(n, i), braid_generator_inverse(n, i), idempotent(n, i)
+    for op, g, c in zip(ops, generators, (TWO, TWO, Scalar.of(2, 2))):
+        assert op == (g * x if left else x * g).scale(c), g
+
+
 _GATHER_CASES = [(n, shape) for n in (2, 3, 5, 6) for shape in ("vector", "zeta-stack", "identity")
                  if (n, shape) != (6, "identity")]
 
 
 @pytest.mark.parametrize("n, shape", _GATHER_CASES)
 def test_letter_gather_matches_table_formula(n, shape):
-    # every input shape a caller passes: the invariant's vector, a (2, rows,
-    # 4^(n-1)) stack of hecke's Z[zeta] pairs, and the square identity matrix of
-    # left_regular_matrix and of the conjugation reference route, whose rows
-    # are like the Markov check's unit rows (n <= 5 here);
+    # the input shapes: a vector like the invariant's and the relation checks'
+    # unit row of 1, the square identity matrix of left_regular_matrix and of
+    # the conjugation reference route, whose rows are like the Markov check's
+    # unit rows (n <= 5 here), and a (2, rows, 4^(n-1)) stack for a leading
+    # shape of more than one axis, which no caller passes now;
     # each row must read (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]]
     size = word_count(n)
     if shape == "identity":
