@@ -330,7 +330,7 @@ def run_suite(
     # Bratteli structure
     levels = diagrams.bratteli_levels(3, 6, 7, reduced=True)
     check("bratteli-node-counts", [1, 2, 3, 3, 3, 4, 3], [len(lv.nodes) for lv in levels])
-    nodes, edges = diagrams.principal_graph_cut(3, 6, (6, 7))
+    nodes, edges = diagrams.level_cut(levels[5], levels[6])
     check("principal-graph-E6(1)", True, diagrams.is_affine_e6(nodes, edges))
 
     ok = all(e["pass"] for e in checks)

@@ -58,9 +58,6 @@ def triple_cover_presentation(v: list[list[int]]) -> list[list[int]]:
 
 def triple_cover_dim(v: list[list[int]]) -> int:
     """dim of the mod-2 first homology of the 3-fold branched cover."""
-    check_matrix(v)
-    if not v:
-        return 0
     big = triple_cover_presentation(v)
     size = len(big)
     rows = [sum(((x & 1) << j) for j, x in enumerate(row)) for row in big]

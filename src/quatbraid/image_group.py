@@ -9,6 +9,10 @@ center are what the finiteness statement predicts.
 The closure is a breadth-first search that handles one BFS level at a time.
 An element is a row of signed codes 2*target + (sign < 0), one per word, and
 each generator table is indexed by signed code, signed[2x + s] = table[x] ^ s.
+A signed table is a permutation of the 2*4^(n-1) signed codes, so its inverse
+permutation, one argsort, is the signed table of the inverse element.  Each
+generator's order is read off the powers of its whole signed table, which
+does not rest on the key premise below.
 Every element is a composition of conjugations by units of the algebra, hence
 an algebra automorphism, and the u_i, v_i generate the algebra, so its codes
 at those 2(n-1) words, its key, fix it.  The BFS keeps key rows only: applying
@@ -51,11 +55,12 @@ class NotASignedWordError(RuntimeError):
     """A conjugate failed to be +/- a single basis word (would falsify finiteness)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedPermutation:
     """Signed permutation of word indices as a row of signed codes.
 
     codes[x] = 2*target + (sign < 0) in uint16, which fits for n <= 8.
+    `compose` is the whole-row composition the tests hold the BFS's gathers to.
     """
 
     n: int
@@ -65,41 +70,11 @@ class SignedPermutation:
         if 2 * len(self.codes) > 1 << 16:
             raise OverflowError(f"signed codes do not fit in uint16 for n={self.n}")
 
-    @staticmethod
-    def identity(n: int) -> SignedPermutation:
-        return SignedPermutation(n, 2 * np.arange(word_count(n), dtype=np.uint16))
-
     def compose(self, other: SignedPermutation) -> SignedPermutation:
         """self after other: x -> self(other(x)), signs multiplying along the way."""
         if self.n != other.n:
             raise ValueError("strand mismatch")
         return SignedPermutation(self.n, _after(_signed(self.codes), other.codes))
-
-    def inverse(self) -> SignedPermutation:
-        inv = np.empty_like(self.codes)
-        inv[self.codes >> 1] = 2 * np.arange(len(self.codes), dtype=np.uint16) + (self.codes & 1)
-        return SignedPermutation(self.n, inv)
-
-    def is_identity(self) -> bool:
-        return self == SignedPermutation.identity(self.n)
-
-    def order(self) -> int:
-        k = 1
-        acc = self
-        while not acc.is_identity():
-            acc = acc.compose(self)
-            k += 1
-            if k > 10**6:
-                raise RuntimeError("runaway order computation")
-        return k
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.codes, other.codes)
-
-    def __hash__(self):
-        return hash(self.codes.tobytes())
 
 
 def conjugation_action(i: int, n: int) -> SignedPermutation:
@@ -125,9 +100,10 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     return SignedPermutation(n, codes)
 
 
-# The default cap on the elements a group enumeration may find, and the largest n it
-# supports: the BFS packs a key's targets into one byte each of one uint64.
-MAX_ELEMENTS, MAX_N = 2_000_000, 5
+# The default cap on the elements a group enumeration may find, the largest n it
+# supports (the BFS packs a key's targets into one byte each of one uint64), and
+# the largest generator order `_order` looks for before it stops as runaway.
+MAX_ELEMENTS, MAX_N, MAX_ORDER = 2_000_000, 5, 10**6
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -153,6 +129,22 @@ def _signed(table: np.ndarray) -> np.ndarray:
 def _after(signed: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The elements with signed tables `signed` (one, or stacked) applied after the signed codes `codes`."""
     return np.take(signed, codes, axis=-1)
+
+
+def _signed_tables(n: int) -> np.ndarray:
+    """The signed tables of s_1..s_{n-1}, then of their inverses: the inverse permutations of those."""
+    actions = [_signed(conjugation_action(i, n).codes) for i in range(1, n)]
+    return np.stack(actions + [np.argsort(a).astype(np.uint16) for a in actions])
+
+
+def _order(signed: np.ndarray) -> int:
+    """The least k <= MAX_ORDER with signed^k = 1, from the powers of the whole signed table."""
+    identity, power = np.arange(len(signed)), signed
+    for k in range(1, MAX_ORDER + 1):
+        if np.array_equal(power, identity):
+            return k
+        power = _after(signed, power)
+    raise RuntimeError("runaway order computation")
 
 
 def _mul_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -289,8 +281,7 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
         raise ValueError(f"supported range is 2 <= n <= {MAX_N}")
     if max_elements < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements}")
-    actions = [conjugation_action(i, n) for i in range(1, n)]
-    signed = np.stack([_signed(a.codes) for a in actions + [a.inverse() for a in actions]])
+    signed = _signed_tables(n)
     base = _generator_words(n)
     checks = _central_checks(signed[: n - 1], base)
     sizes = []
@@ -304,7 +295,7 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
         "imageOrder": order,
         "centerOrder": central,
         "projectiveOrder": order // central,
-        "generatorOrders": [a.order() for a in actions],
+        "generatorOrders": [_order(a) for a in signed[: n - 1]],
         "centralWordCount": len(center(n)),
         "formulaEstimate": order_formula_estimate(n),
         "levelSizes": sizes,

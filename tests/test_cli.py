@@ -376,6 +376,18 @@ def test_run_suite_multiplies_no_algebra_elements(monkeypatch, tmp_path, table):
     assert not hasattr(cli_module, "evaluate")
 
 
+def test_run_suite_builds_the_bratteli_levels_once(monkeypatch):
+    # the E6 cut is read off the levels bratteli-node-counts already built; the
+    # other call is the path-count route of dimension[n=2]
+    calls = []
+    real = diagrams.bratteli_levels
+    monkeypatch.setattr(diagrams, "bratteli_levels", lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
+    report = run_suite(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=2)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["bratteli-node-counts"]["pass"] and checks["principal-graph-E6(1)"]["pass"]
+    assert calls == [((3, 6, 2), {}), ((3, 6, 7), {"reduced": True})]
+
+
 def _strip_timing(report):
     report = dict(report)
     report.pop("wallTimeSeconds")

@@ -46,6 +46,13 @@ def test_non_square_rejected():
         triple_cover_dim([[1, 2]])
 
 
+@pytest.mark.parametrize("bad", [{}, 0], ids=["empty-dict", "zero"])
+def test_falsy_non_matrix_rejected(bad):
+    # both are falsy like the empty matrix [], whose dimension is 0, and must still be rejected
+    with pytest.raises(ValueError, match="^Seifert matrix must be a list of integer rows$"):
+        triple_cover_dim(bad)
+
+
 def _random_unimodular(m, rng):
     # product of elementary row additions: always determinant 1
     p = [[1 if i == j else 0 for j in range(m)] for i in range(m)]

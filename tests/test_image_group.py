@@ -92,22 +92,45 @@ def test_braid_relations_in_the_image():
     n = 4
     a = [conjugation_action(i, n) for i in range(1, n)]
     # conjugation is an anti-action: braid relations still hold pairwise
-    assert a[0].compose(a[1]).compose(a[0]) == a[1].compose(a[0]).compose(a[1])
-    assert a[0].compose(a[2]) == a[2].compose(a[0])
+    assert np.array_equal(a[0].compose(a[1]).compose(a[0]).codes, a[1].compose(a[0]).compose(a[1]).codes)
+    assert np.array_equal(a[0].compose(a[2]).codes, a[2].compose(a[0]).codes)
+
+
+def _identity_row(n):
+    return 2 * np.arange(word_count(n), dtype=np.uint16)
 
 
 def test_generator_order_three():
     for n in (2, 3, 4, 7, 8):
         for i in range(1, n):
             act = conjugation_action(i, n)
-            assert act.compose(act).compose(act).is_identity()
-            assert act.order() == 3
+            assert np.array_equal(act.compose(act).compose(act).codes, _identity_row(n))
+            assert image_group._order(image_group._signed(act.codes)) == 3
 
 
 def test_compose_and_inverse():
-    act = conjugation_action(1, 3)
-    assert act.compose(act.inverse()).is_identity()
-    assert act.inverse().compose(act).is_identity()
+    # each inverse table is the argsort of its generator's signed table; it must
+    # be a signed table itself and undo the generator on either side
+    for n in (2, 3, 4, 5):
+        signed = image_group._signed_tables(n)
+        for i in range(1, n):
+            act = conjugation_action(i, n)
+            inv = SignedPermutation(n, signed[n - 2 + i][::2])
+            assert np.array_equal(signed[i - 1], image_group._signed(act.codes))
+            assert np.array_equal(signed[n - 2 + i], image_group._signed(inv.codes))
+            assert np.array_equal(act.compose(inv).codes, _identity_row(n))
+            assert np.array_equal(inv.compose(act).codes, _identity_row(n))
+
+
+def test_order_guard_stops_a_runaway_power_loop(monkeypatch):
+    swap = image_group._signed(np.array([2, 0], dtype=np.uint16))  # word 0 <-> word 1, order 2
+    monkeypatch.setattr(image_group, "MAX_ORDER", 2)
+    assert image_group._order(np.arange(4, dtype=np.uint16)) == 1
+    assert image_group._order(swap) == 2
+    with pytest.raises(RuntimeError, match="^runaway order computation$"):
+        image_group._order(image_group._signed(conjugation_action(1, 3).codes))
+    with pytest.raises(RuntimeError, match="^runaway order computation$"):
+        enumerate_group(3)
 
 
 def test_enumerate_small_groups():
@@ -169,16 +192,23 @@ def test_left_regular_matrix_matches_algebra_product(n):
 
 
 def _closure_by_compose(n):
-    """Oracle: the image group and its center as whole signed permutations, one compose at a time."""
+    """Oracle: the image group, as {codes.tobytes(): element}, and the keys of its center, one compose at a time.
+
+    The group is finite, so it is the monoid its generators generate: the
+    closure applies the actions alone and uses no inverse.
+    """
     actions = [conjugation_action(i, n) for i in range(1, n)]
-    gens = actions + [a.inverse() for a in actions]
-    els = {SignedPermutation.identity(n)}
-    frontier = list(els)
+    one = SignedPermutation(n, _identity_row(n))
+    els = {one.codes.tobytes(): one}
+    frontier = [one]
     while frontier:
-        new = {g.compose(b) for b in frontier for g in gens} - els
-        els |= new
-        frontier = list(new)
-    central = {el for el in els if all(el.compose(a) == a.compose(el) for a in actions)}
+        products = {el.codes.tobytes(): el for el in (g.compose(b) for b in frontier for g in actions)}
+        new = {key: el for key, el in products.items() if key not in els}
+        els.update(new)
+        frontier = list(new.values())
+    central = {
+        key for key, el in els.items() if all(np.array_equal(el.compose(a).codes, a.compose(el).codes) for a in actions)
+    }
     return els, central
 
 
@@ -192,9 +222,7 @@ def test_enumeration_matches_full_row_closure(n):
 def _key_closure(n):
     """The BFS key words, the key rows, the full row rebuilt for each, and
     the full rows of the central elements."""
-    codes = [conjugation_action(i, n).codes for i in range(1, n)]
-    tables = codes + [SignedPermutation(n, c).inverse().codes for c in codes]
-    signed = np.stack([image_group._signed(t) for t in tables])
+    signed = image_group._signed_tables(n)
     base = image_group._generator_words(n)
     checks = image_group._central_checks(signed[: n - 1], base)
     rows, central = [], set()
@@ -210,10 +238,9 @@ def test_key_rows_match_full_row_closure(n):
     base, rows, central_rows = _key_closure(n)
     assert len(base) == 2 * (n - 1)
     assert len(rows) == len(els)
-    assert {key.tobytes() for key, _ in rows} == {el.codes[base].tobytes() for el in els}
-    full_els = {el.codes.tobytes() for el in els}
-    assert all(full.tobytes() in full_els and np.array_equal(key, full[base]) for key, full in rows)
-    assert central_rows == {el.codes.tobytes() for el in central}
+    assert {key.tobytes() for key, _ in rows} == {el.codes[base].tobytes() for el in els.values()}
+    assert all(full.tobytes() in els and np.array_equal(key, full[base]) for key, full in rows)
+    assert central_rows == central
 
 
 @pytest.mark.parametrize("n", [3, 5])
