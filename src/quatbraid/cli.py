@@ -265,13 +265,10 @@ def run_suite(
         check(f"markov[n={n}]", True, all(e["pass"] for e in hecke.verify_markov(n)))
     check("eta(3,6)", ["1/2", "0"], diagrams.eta(3, 6).to_json())
 
-    # dimensions, two independent routes
+    # dimensions, two independent routes; levels 1..7 serve bratteli-node-counts too
+    levels = diagrams.bratteli_levels(3, 6, 7, reduced=True)
     for n in range(2, dim_n_max + 1):
-        check(
-            f"dimension[n={n}]",
-            diagrams.hecke_dimension(3, 6, n),
-            hecke.subalgebra_dimension(n),
-        )
+        check(f"dimension[n={n}]", levels[n - 1].dimension, hecke.subalgebra_dimension(n))
 
     # center
     for n, want in [(2, 1), (3, 4), (4, 1), (5, 1), (6, 4), (7, 1)]:
@@ -328,7 +325,6 @@ def run_suite(
     check(f"closed-form[{markov_braids} braids]", 0, len(mismatched), **reproducer(mismatched))
 
     # Bratteli structure
-    levels = diagrams.bratteli_levels(3, 6, 7, reduced=True)
     check("bratteli-node-counts", [1, 2, 3, 3, 3, 4, 3], [len(lv.nodes) for lv in levels])
     nodes, edges = diagrams.level_cut(levels[5], levels[6])
     check("principal-graph-E6(1)", True, diagrams.is_affine_e6(nodes, edges))

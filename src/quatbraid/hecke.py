@@ -115,8 +115,8 @@ def verify_relations(n: int) -> list[dict]:
 
 
 def verify_conjugation_table(n: int) -> list[dict]:
-    """Match the codes of `image_group.conjugation_action(1, n)`, the table the BFS reads,
-    against the closed-form table for nearby generators.  Like enumerate_group, raises
+    """Match the codes of `image_group.conjugation_action(1, n)`, the cached table the BFS
+    reads, against the closed-form table for nearby generators.  Like enumerate_group, raises
     NotASignedWordError if a conjugate is not a signed word (only with a corrupt T_1)."""
     from quatbraid import image_group  # not at the top: image_group imports S_COEFF from here
     if n < 3:

@@ -40,6 +40,7 @@ integer det(T_i), so the only Q(zeta) step is that one scalar product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -77,8 +78,10 @@ class SignedPermutation:
         return SignedPermutation(self.n, _after(_signed(self.codes), other.codes))
 
 
+@functools.lru_cache(maxsize=None)
 def conjugation_action(i: int, n: int) -> SignedPermutation:
-    """Signed permutation w -> s_i^-1 w s_i on the word basis.
+    """Signed permutation w -> s_i^-1 w s_i on the word basis, cached per (i, n)
+    with read-only codes, as `intspan.t_action` is, so every check reads one table.
 
     s_i = c T_i and s_i^-1 = c' (2 - T_i) with T_i = 1 + u_i + v_i + u_i v_i
     and c c' = 1/4, so the conjugate is (1/4)(2 - T_i) w T_i.  Letter +i on the
@@ -97,6 +100,7 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     words, codes = np.arange(word_count(n)), np.zeros(word_count(n), dtype=np.uint16)
     for x, code in zip(base, (2 * np.nonzero(conj)[1] + (coeff < 0)).astype(np.uint16)):
         codes = np.where(words & x, _mul_codes(codes, code, n), codes)
+    codes.flags.writeable = False
     return SignedPermutation(n, codes)
 
 

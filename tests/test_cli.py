@@ -11,6 +11,7 @@ from quatbraid import braids, cli as cli_module, diagrams, linktable
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import BraidWord, evaluate, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
+from quatbraid.image_group import conjugation_action
 from quatbraid.scalar import ONE, Scalar, qpow
 
 
@@ -377,15 +378,28 @@ def test_run_suite_multiplies_no_algebra_elements(monkeypatch, tmp_path, table):
 
 
 def test_run_suite_builds_the_bratteli_levels_once(monkeypatch):
-    # the E6 cut is read off the levels bratteli-node-counts already built; the
-    # other call is the path-count route of dimension[n=2]
+    # the path counts of dimension[n=k], bratteli-node-counts and the E6 cut
+    # are all read off one build of levels 1..7
     calls = []
     real = diagrams.bratteli_levels
     monkeypatch.setattr(diagrams, "bratteli_levels", lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
     report = run_suite(relation_n_max=3, dim_n_max=2, group_n_max=2, markov_braids=2)
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["bratteli-node-counts"]["pass"] and checks["principal-graph-E6(1)"]["pass"]
-    assert calls == [((3, 6, 2), {}), ((3, 6, 7), {"reduced": True})]
+    assert checks["dimension[n=2]"]["expected"] == 2
+    assert calls == [((3, 6, 7), {"reduced": True})]
+
+
+def test_run_suite_builds_each_conjugation_table_once():
+    # verify_conjugation_table(3, 4) and enumerate_group(2..4) share their s_1 tables:
+    # (1, 3) and (1, 4) are built once and read twice
+    conjugation_action.cache_clear()
+    report = run_suite(relation_n_max=4, dim_n_max=2, group_n_max=4, markov_braids=0)
+    assert report["pass"]
+    info = conjugation_action.cache_info()
+    assert (info.misses, info.hits) == (6, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        conjugation_action(1, 3).codes[0] = 0
 
 
 def _strip_timing(report):

@@ -61,13 +61,19 @@ def test_bad_parameters_rejected(route, k, l, n):
         route(k, l, n)
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_levels_agree_with_single_level_routes(n):
-    levels = bratteli_levels(3, 6, n)
+@pytest.mark.parametrize(
+    "n, reduced",
+    [pytest.param(n, False, id=f"{n}") for n in range(1, 10)]
+    + [pytest.param(n, True, id=f"{n}-reduced") for n in range(1, 10)],
+)
+def test_levels_agree_with_single_level_routes(n, reduced):
+    # the suite's dimension[n=k] reads the reduced levels' path counts
+    levels = bratteli_levels(3, 6, n, reduced=reduced)
     assert [level.n for level in levels] == list(range(1, n + 1))
     for level in levels:
         assert level.path_counts == path_counts(3, 6, level.n)
         assert level.nodes == admissible_diagrams(3, 6, level.n)
+        assert level.dimension == hecke_dimension(3, 6, level.n)
 
 
 def test_eta_value():
