@@ -19,11 +19,16 @@ to the words of A_m, since `sign_bits` reads no bit at or above m - 1 of them.
 It carries a proven bound,
 times 4 per letter of either sign (four terms with signs +-1), and only when
 the bound reaches 2^31 divides out the common factors 2 and reads the vector.
-Closing {1} under right multiplication by every T_i, one word length per round
-and one int64 matrix product per block of a round, gives the Q-rank of all
-T-words exactly.  Both factors of every elementwise multiply are below 2^31,
-and A @ B is taken only when max|A| times the columns of A times max|B| is
-below 2^62, so int64 never wraps (OverflowError instead).
+Closing {1} under right multiplication by every T_i gives the Q-rank of all
+T-words exactly.  `_t_word_basis` closes it through the same strand prefixes:
+stage m embeds the closed (m-1)-strand basis, which the same restriction keeps
+closed under T_1..T_(m-2), and multiplies it by T_(m-1), then the rows each
+round adds by every T_i.  Each block of a round costs one int64 matrix product
+against the basis, the elimination of its new pivots among its own rows, and
+one more product that clears those pivots from the old rows.  Both factors of
+every elementwise multiply are below 2^31, and A @ B is taken only when max|A|
+times the columns of A times max|B| is below 2^62, so int64 never wraps
+(OverflowError instead).
 `hecke.subalgebra_dimension` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 
@@ -38,7 +43,7 @@ import math
 
 import numpy as np
 
-from quatbraid.algebra import Word, index_masks, quad_words, sign_bits, word_count
+from quatbraid.algebra import index_masks, quad_words, sign_bits, word_count
 
 # entry and matrix product bounds; int64 holds the difference of two products
 _ENTRY_LIMIT, _PRODUCT_LIMIT = 1 << 31, 1 << 62
@@ -137,9 +142,14 @@ def _reduce(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarr
 def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fully reduced basis and pivots with vecs added: old rows change in place, new rows last.
 
-    Each new pivot row clears its column in the other rows by `_reduce` with a one-row basis.
+    One `_reduce` clears the old pivots from the block; its nonzero rows are then
+    eliminated among themselves, each new pivot row clearing its column in the
+    others by `_reduce` with a one-row basis.  The new rows are then zero at the
+    old pivots and fully reduced with positive pivots, so one more `_reduce`
+    clears every new pivot column from the old rows that are nonzero there.
     """
     vecs = _reduce(_primitive(vecs), basis, pivots)
+    vecs = vecs[vecs.any(axis=1)]
     new = []
     for r in range(len(vecs)):
         nonzero = np.flatnonzero(vecs[r])
@@ -147,15 +157,18 @@ def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np
             continue
         p = int(nonzero[0])
         vecs[r] *= np.sign(vecs[r, p])
-        for rows in (basis, vecs):
-            hit = np.flatnonzero(rows[:, p])
-            hit = hit[hit != r] if rows is vecs else hit
-            if hit.size:
-                rows[hit] = _reduce(rows[hit], vecs[r:r + 1], np.array([p]))
+        hit = np.flatnonzero(vecs[:, p])
+        hit = hit[hit != r]
+        if hit.size:
+            vecs[hit] = _reduce(vecs[hit], vecs[r:r + 1], np.array([p]))
         new.append(p)
     if not new:
         return basis, pivots
-    return np.concatenate([basis, vecs[vecs.any(axis=1)]]), np.append(pivots, new)
+    vecs, new = vecs[vecs.any(axis=1)], np.array(new)
+    hit = np.flatnonzero(basis[:, new].any(axis=1))
+    if hit.size:
+        basis[hit] = _reduce(basis[hit], vecs, new)
+    return np.concatenate([basis, vecs]), np.append(pivots, new)
 
 
 def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
@@ -204,13 +217,14 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     return t >> twos, k + twos
 
 
-def _embed(vec: np.ndarray, m: int, n: int) -> np.ndarray:
-    """An m-strand coefficient vector as the n-strand one (m <= n): the words
-    (eps, nu) keep their masks, at index eps 2^(n-1) + nu, and every other entry is 0."""
-    side, big = 1 << (m - 1), 1 << (n - 1)
-    grid = np.zeros((big, big), dtype=vec.dtype)
-    grid[:side, :side] = vec.reshape(side, side)
-    return grid.reshape(-1)
+def _embed(vecs: np.ndarray, m: int, n: int) -> np.ndarray:
+    """m-strand coefficient vectors as the n-strand ones (m <= n), along the last
+    axis of any leading shape: the words (eps, nu) keep their masks, at index
+    eps 2^(n-1) + nu, and every other entry is 0."""
+    side, big, lead = 1 << (m - 1), 1 << (n - 1), vecs.shape[:-1]
+    grid = np.zeros(lead + (big, big), dtype=vecs.dtype)
+    grid[..., :side, :side] = vecs.reshape(lead + (side, side))
+    return grid.reshape(lead + (-1,))
 
 
 def _twos(x: int) -> int:
@@ -219,24 +233,38 @@ def _twos(x: int) -> int:
 
 
 def t_word_rank(n: int) -> int:
-    """Rank over Q of the T-words on n strands, by span closure over Z.
+    """Rank over Q of the T-words on n strands, by span closure over Z (`_t_word_basis`)."""
+    return len(_t_word_basis(n)[0])
 
-    Each round multiplies the rows the previous round added by every T_i, in
-    blocks of BLOCK_ROWS rows, into a fully reduced echelon basis over Z with
-    primitive rows and positive pivots; the span is closed when a round adds nothing.
+
+def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The span of the T-words on n strands as a fully reduced echelon basis over Z
+    with primitive rows and positive pivots, and its pivot columns.
+
+    That form is unique: the pivots are the leading columns of the span, and the
+    row of pivot p is its one primitive vector that is zero at the other pivots
+    and positive at p.  It is built through the strand prefixes m = 2..n.  Stage
+    m starts from the (m-1)-strand basis, embedded by `_embed` with its pivots
+    mapped to the words of the same masks; the zero padding keeps it fully
+    reduced.  `t_action(m, a)` restricted to that block is `t_action(m - 1, a)`
+    (see `t_word_trace`), so the embedded span is closed under T_1..T_(m-2) and
+    the stage's first frontier is the embedded basis times T_(m-1).  Each later
+    round multiplies the rows the previous round added by every T_1..T_(m-1),
+    in blocks of BLOCK_ROWS rows; the stage ends when a round adds nothing.
     """
-    size = word_count(n)
-    one = np.eye(1, size, Word.identity(n).index, dtype=np.int64)
-    basis, pivots = _insert(np.zeros((0, size), dtype=np.int64), np.zeros(0, dtype=np.intp), one)
-    start = 0
-    while start < len(basis):
-        frontier, start = basis[start:].copy(), len(basis)
-        for b in range(0, len(frontier), BLOCK_ROWS):
-            for i in range(1, n):
-                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], n, i))
-        if len(basis) > size:
-            raise RuntimeError("span closure exceeded the ambient dimension")
-    return len(basis)
+    basis, pivots = np.ones((1, 1), dtype=np.int64), np.zeros(1, dtype=np.intp)
+    for m in range(2, n + 1):
+        eps, nu = index_masks(m - 1, pivots)
+        basis, pivots = _embed(basis, m - 1, m), (eps << (m - 1)) | nu
+        frontier, start, letters = basis.copy(), len(basis), [m - 1]
+        while len(frontier):
+            for b in range(0, len(frontier), BLOCK_ROWS):
+                for i in letters:
+                    basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], m, i))
+            if len(basis) > word_count(m):
+                raise RuntimeError("span closure exceeded the ambient dimension")
+            frontier, start, letters = basis[start:].copy(), len(basis), range(1, m)
+    return basis, pivots
 
 
 def exact_determinant(mat: list[list[int]]) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatbraid import image_group, intspan
-from quatbraid.algebra import AlgebraElement, Word, mul_words, quad_words, word_count
+from quatbraid.algebra import AlgebraElement, Word, index_masks, mul_words, quad_words, word_count
 from quatbraid.braids import BraidWord, invariant
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
@@ -20,7 +20,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import _insert, _reduce, letter, t_action, t_word_rank
+from quatbraid.intspan import BLOCK_ROWS, _embed, _insert, _reduce, _t_word_basis, letter, t_action, t_word_rank
 from quatbraid.scalar import ONE, Scalar, ZETA, qpow
 
 
@@ -308,8 +308,8 @@ def _t_words(n, length):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_t_word_rank_matches_sympy(n):
-    # sympy's exact rank of the T-words up to the closure's 2(n-1) rounds; one
-    # round fewer gives the same rank, so those words span a closed space
+    # sympy's exact rank of the T-words of length at most 2(n-1); the words one
+    # letter shorter give the same rank, so those words span a closed space
     import sympy
 
     rounds = 2 * (n - 1)
@@ -323,6 +323,56 @@ def test_t_word_rank_matches_sympy(n):
         return sympy.Matrix(sorted(rows)).rank()
 
     assert rank(rounds - 1) == rank(rounds) == t_word_rank(n)
+
+
+def _full_space_basis(n):
+    """The closure in the full n-strand space, one word length per round from 1."""
+    size = word_count(n)
+    one = np.eye(1, size, Word.identity(n).index, dtype=np.int64)
+    basis, pivots = _insert(np.zeros((0, size), dtype=np.int64), np.zeros(0, dtype=np.intp), one)
+    start = 0
+    while start < len(basis):
+        frontier, start = basis[start:].copy(), len(basis)
+        for b in range(0, len(frontier), BLOCK_ROWS):
+            for i in range(1, n):
+                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], n, i))
+    return basis, pivots
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_prefix_basis_equals_the_full_space_closure(n):
+    # the fully reduced form with primitive rows and positive pivots is unique,
+    # so the prefix stages must give the reference's rows, not just its rank
+    basis, pivots = _t_word_basis(n)
+    want, want_pivots = _full_space_basis(n)
+    assert np.array_equal(basis[:, pivots], np.diag(basis[np.arange(len(pivots)), pivots]))
+    assert (basis[np.arange(len(pivots)), pivots] > 0).all()
+    assert (np.gcd.reduce(basis, axis=1) == 1).all()
+    assert sorted(map(tuple, basis.tolist())) == sorted(map(tuple, want.tolist()))
+    assert sorted(pivots.tolist()) == sorted(want_pivots.tolist())
+    assert len(basis) == t_word_rank(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_prefix_basis_keeps_the_pivot_words_of_the_smaller_prefix(n):
+    # stage n starts from the (n-1)-strand basis; its old rows keep their pivots,
+    # first and in order, at the words of the same (eps, nu)
+    small, big = _t_word_basis(n - 1)[1], _t_word_basis(n)[1]
+    assert [tuple(m.tolist()) for m in index_masks(n, big[:len(small)])] == [
+        tuple(m.tolist()) for m in index_masks(n - 1, small)]
+
+
+def test_embed_keeps_the_word_masks():
+    rng = np.random.default_rng(7)
+    for m, n in ((1, 3), (2, 2), (2, 4), (3, 5)):
+        block = rng.integers(-9, 10, size=(3, word_count(m)))
+        rows = _embed(block, m, n)
+        assert np.array_equal(rows, np.stack([_embed(row, m, n) for row in block]))
+        assert rows.shape == (3, word_count(n))
+        for x in range(word_count(m)):
+            eps, nu = index_masks(m, x)
+            assert np.array_equal(rows[:, Word(n, eps, nu).index], block[:, x]), (m, n, x)
+        assert np.abs(rows).sum() == np.abs(block).sum()
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,6 +535,12 @@ def test_closure_overflow_guard():
     basis = np.hstack([np.eye(4, dtype=np.int64), np.full((4, 1), near)])
     with pytest.raises(OverflowError):
         _reduce(np.array([[near] * 4 + [0]], dtype=np.int64), basis, np.arange(4))
+    # two new pivot rows that together clear one old row past 2^62, although
+    # either alone would leave it below: with a = near,
+    # (1, a, a, 0) - a (0, 1, 0, a) - a (0, 0, 1, a) = (1, 0, 0, -2a^2)
+    old = np.array([[1, near, near, 0]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _insert(old, np.array([0]), np.array([[0, 1, 0, near], [0, 0, 1, near]], dtype=np.int64))
     # pivots whose lcm passes 2^31: 65537 * 65539 > 2^32
     primes = np.array([[65537, 0], [0, 65539]], dtype=np.int64)
     with pytest.raises(OverflowError):
