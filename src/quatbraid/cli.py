@@ -265,10 +265,11 @@ def run_suite(
         check(f"markov[n={n}]", True, all(e["pass"] for e in hecke.verify_markov(n)))
     check("eta(3,6)", ["1/2", "0"], diagrams.eta(3, 6).to_json())
 
-    # dimensions, two independent routes; levels 1..7 serve bratteli-node-counts too
+    # dimensions, two independent routes, each built once for every n; levels
+    # 1..7 serve bratteli-node-counts too
     levels = diagrams.bratteli_levels(3, 6, 7, reduced=True)
-    for n in range(2, dim_n_max + 1):
-        check(f"dimension[n={n}]", levels[n - 1].dimension, hecke.subalgebra_dimension(n))
+    for n, closure in enumerate(hecke.subalgebra_dimensions(dim_n_max), start=2):
+        check(f"dimension[n={n}]", levels[n - 1].dimension, closure)
 
     # center
     for n, want in [(2, 1), (3, 4), (4, 1), (5, 1), (6, 4), (7, 1)]:

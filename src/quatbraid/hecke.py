@@ -168,7 +168,14 @@ def verify_markov(n: int) -> list[dict]:
 # --- exact span closure -----------------------------------------------------
 
 def subalgebra_dimension(n: int) -> int:
-    """Dimension of the unital subalgebra generated by the braid generators.
+    """Dimension of the unital subalgebra generated by the braid generators
+    on n strands: the last of `subalgebra_dimensions(n)`."""
+    return subalgebra_dimensions(n)[-1]
+
+
+def subalgebra_dimensions(n_max: int) -> list[int]:
+    """Dimensions of the unital subalgebras generated by the braid generators
+    on n = 2..n_max strands, in that order, from one span closure.
 
     The closure runs over the integers and is exact.  s_i = c T_i with the
     unit c = -1/(2 zeta) and T_i = 1 + u_i + v_i + u_i v_i, so a product of
@@ -177,10 +184,11 @@ def subalgebra_dimension(n: int) -> int:
     coordinates on the word basis, and a set of rational vectors has the same
     rank over Q(zeta) as over Q (Gaussian elimination never leaves the field
     of the entries).  So the dimension is the Q-rank of the T-words, which
-    `intspan.t_word_rank` computes through the strand prefixes 2..n, each closed
-    from the embedded basis of the one before, with batched elimination over Z,
-    entries below 2^31 and matrix products below 2^62 (else OverflowError).
+    `intspan.t_word_ranks` computes through the strand prefixes 2..n_max, each
+    closed from the embedded basis of the one before, with batched elimination
+    over Z, entries below 2^31 and matrix products below 2^62 (else
+    OverflowError); the rank after stage n is the dimension for n strands.
     """
-    if not 2 <= n <= MAX_DIMENSION_N:
+    if not 2 <= n_max <= MAX_DIMENSION_N:
         raise ValueError(f"supported range is 2 <= n <= {MAX_DIMENSION_N}")
-    return intspan.t_word_rank(n)
+    return intspan.t_word_ranks(n_max)[1:]

@@ -6,10 +6,11 @@ the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
 algebra's sign rule).  s_i = (zeta^2/2) T_i and s_i^-1 = (zeta^4/2)(2 - T_i),
 so braid letter +i acts on integer vectors as T_i and -i as
 2 - T_i = 1 - u_i - v_i - u_i v_i: the same four sources with the three
-non-identity signs negated.  `letter`, the one integer form of a letter of
-either sign, applies its table as one `take` along the word axis, for any
-leading shape, and holds the 2^31 guard; it reads every entry unless its
-caller passes a proven bound below 2^31.
+non-identity signs negated.  The tables are word-major, one row of four
+(source, sign) pairs per target word.  `letter`, the one integer form of a
+letter of either sign, applies its table as one `take` along the word axis and
+one `np.vecdot` over the four terms, for any leading shape, and holds the 2^31
+guard; it reads every entry unless its caller passes a proven bound below 2^31.
 `t_word_trace` multiplies 1 by one letter at a time and reads off the identity
 coefficient; `braids.invariant` is built on it.  It applies each letter in the
 smallest strand-prefix algebra A_m that holds the vector so far, and grows the
@@ -29,7 +30,7 @@ one more product that clears those pivots from the old rows.  Both factors of
 every elementwise multiply are below 2^31, and A @ B is taken only when max|A|
 times the columns of A times max|B| is below 2^62, so int64 never wraps
 (OverflowError instead).
-`hecke.subalgebra_dimension` explains why that rank is the dimension of the
+`hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 
 `exact_determinant`, the package's one determinant, works on Python ints: every
@@ -58,21 +59,22 @@ def t_action(n: int, a: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
     """Multiplication by T_i = 1 + u_i + v_i + u_i v_i (letter a = +i) or by
     2 - T_i = 1 - u_i - v_i - u_i v_i (a = -i) as four signed gathers.
 
-    Returns read-only (sources, signs), each of shape (4, 4^(n-1)), with
-    (vec T)[y] = sum_k signs[k, y] * vec[sources[k, y]] on word indices,
-    or (T vec)[y] when left is true.  A product XORs indices, so the k-th
-    word t sends source y ^ t.index to y.  Letter -i shares the sources array
-    of +i; its signs are those of +i with rows u_i, v_i, u_i v_i negated.
+    Returns read-only, C-contiguous int64 (sources, signs), each of shape
+    (4^(n-1), 4), word-major: (vec T)[y] = sum_k signs[y, k] * vec[sources[y, k]]
+    on word indices, or (T vec)[y] when left is true, so the four terms of a
+    target word are adjacent.  A product XORs indices, so the k-th word t sends
+    source y ^ t.index to y.  Letter -i shares the sources array of +i; its
+    signs are those of +i with columns u_i, v_i, u_i v_i negated.
     """
     i = abs(a)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
     if a < 0:
         sources, signs = t_action(n, i, left)
-        signs = signs * np.array([[1], [-1], [-1], [-1]])
+        signs = signs * np.array([1, -1, -1, -1])
     else:
-        quad = np.array([[t.index] for t in quad_words(n, i)])
-        sources = np.arange(word_count(n)) ^ quad
+        quad = np.array([t.index for t in quad_words(n, i)])
+        sources = np.arange(word_count(n))[:, None] ^ quad
         (eps, nu), (t_eps, t_nu) = index_masks(n, sources), index_masks(n, quad)
         odd = sign_bits(t_eps, t_nu, eps, nu) if left else sign_bits(eps, nu, t_eps, t_nu)
         signs = np.where(np.bitwise_count(odd) & 1, -1, 1)
@@ -88,12 +90,13 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
 
     vecs may have any leading shape; the last axis is the word axis.  Callers
     pass one integer vector (`t_word_trace`, the unit row of 1 in
-    `hecke.verify_relations`) or 2-D integer rows (blocks of `t_word_rank`, the
+    `hecke.verify_relations`) or 2-D integer rows (blocks of `t_word_ranks`, the
     unit rows of `hecke.verify_markov`, the generator-word rows and identity
     matrix of `image_group`).  The four
     terms of `t_action(n, a, left)` are one `take` of the sources along it,
-    shape (..., 4, 4^(n-1)), signed in place and summed, the same for either
-    sign of a; vecs and the cached table stay unchanged.
+    shape (..., 4^(n-1), 4), and one `np.vecdot` with the signs over their
+    contiguous last axis, the same for either sign of a; vecs and the cached
+    table stay unchanged.
 
     Raises OverflowError when an entry of vecs reaches 2^31, so no product wraps int64.
     vecs is read for that check unless bound, a proven upper bound on max|vecs|
@@ -103,9 +106,7 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     if bound is None or bound >= _ENTRY_LIMIT:
         _check(_magnitude(vecs))
     sources, signs = t_action(n, a, left)
-    terms = vecs.take(sources, axis=-1)
-    terms *= signs
-    return np.add.reduce(terms, axis=-2)
+    return np.vecdot(vecs.take(sources, axis=-1), signs)
 
 
 def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
@@ -232,14 +233,16 @@ def _twos(x: int) -> int:
     return (x & -x).bit_length() - 1 if x else 0
 
 
-def t_word_rank(n: int) -> int:
-    """Rank over Q of the T-words on n strands, by span closure over Z (`_t_word_basis`)."""
-    return len(_t_word_basis(n)[0])
+def t_word_ranks(n: int) -> list[int]:
+    """Ranks over Q of the T-words on 1..n strands, in that order, from one span
+    closure over Z (`_t_word_basis`)."""
+    return _t_word_basis(n)[2]
 
 
-def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The span of the T-words on n strands as a fully reduced echelon basis over Z
-    with primitive rows and positive pivots, and its pivot columns.
+    with primitive rows and positive pivots, its pivot columns, and the rank of
+    the span after each stage m = 1..n (the T-words on m strands).
 
     That form is unique: the pivots are the leading columns of the span, and the
     row of pivot p is its one primitive vector that is zero at the other pivots
@@ -253,6 +256,7 @@ def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     in blocks of BLOCK_ROWS rows; the stage ends when a round adds nothing.
     """
     basis, pivots = np.ones((1, 1), dtype=np.int64), np.zeros(1, dtype=np.intp)
+    ranks = [1]
     for m in range(2, n + 1):
         eps, nu = index_masks(m - 1, pivots)
         basis, pivots = _embed(basis, m - 1, m), (eps << (m - 1)) | nu
@@ -264,7 +268,8 @@ def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
             if len(basis) > word_count(m):
                 raise RuntimeError("span closure exceeded the ambient dimension")
             frontier, start, letters = basis[start:].copy(), len(basis), range(1, m)
-    return basis, pivots
+        ranks.append(len(basis))
+    return basis, pivots, ranks
 
 
 def exact_determinant(mat: list[list[int]]) -> int:

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from quatbraid import braids, cli as cli_module, diagrams, linktable
+from quatbraid import braids, cli as cli_module, diagrams, intspan, linktable
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import BraidWord, evaluate, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
@@ -388,6 +388,17 @@ def test_run_suite_builds_the_bratteli_levels_once(monkeypatch):
     assert checks["bratteli-node-counts"]["pass"] and checks["principal-graph-E6(1)"]["pass"]
     assert checks["dimension[n=2]"]["expected"] == 2
     assert calls == [((3, 6, 7), {"reduced": True})]
+
+
+def test_run_suite_closes_the_span_once(monkeypatch):
+    # every dimension[n=2..5] actual is a stage rank of one strand-prefix closure
+    calls = []
+    real = intspan._t_word_basis
+    monkeypatch.setattr(intspan, "_t_word_basis", lambda n: calls.append(n) or real(n))
+    checks = [c for c in run_suite()["checks"] if c["name"].startswith("dimension[")]
+    assert calls == [5]
+    assert [c["name"] for c in checks] == [f"dimension[n={n}]" for n in range(2, 6)]
+    assert [c["actual"] for c in checks] == [c["expected"] for c in checks] == [2, 6, 22, 86]
 
 
 def test_run_suite_builds_each_conjugation_table_once():

@@ -16,11 +16,12 @@ from quatbraid.hecke import (
     braid_generator,
     braid_generator_inverse,
     subalgebra_dimension,
+    subalgebra_dimensions,
     verify_conjugation_table,
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import BLOCK_ROWS, _embed, _insert, _reduce, _t_word_basis, letter, t_action, t_word_rank
+from quatbraid.intspan import BLOCK_ROWS, _embed, _insert, _reduce, _t_word_basis, letter, t_action, t_word_ranks
 from quatbraid.scalar import ONE, Scalar, ZETA, qpow
 
 
@@ -71,7 +72,7 @@ def test_conjugation_table_raises_on_a_corrupt_t_table(monkeypatch):
         sources, signs = t_action(n, i, left)
         if not left:
             signs = signs.copy()
-            signs[1, 0] = -signs[1, 0]
+            signs[0, 1] = -signs[0, 1]
         return sources, signs
 
     monkeypatch.setattr(intspan, "t_action", corrupted)
@@ -196,12 +197,12 @@ def test_flipped_table_sign_fails_a_relation(monkeypatch):
     for (i, k, y), failing in flips:
         sources, signs = real(4, i)
         signs = signs.copy()
-        signs[k, y] *= -1
+        signs[y, k] *= -1
 
         def flipped(n, a, left=False, i=i, signs=signs):
             if (n, abs(a), left) != (4, i, False):
                 return real(n, a, left)
-            return sources, signs * np.array([[1], [-1], [-1], [-1]]) if a < 0 else signs
+            return sources, signs * np.array([1, -1, -1, -1]) if a < 0 else signs
 
         monkeypatch.setattr(intspan, "t_action", flipped)
         assert [(e["relation"], e["indices"]) for e in verify_relations(4) if not e["pass"]] == failing
@@ -215,7 +216,7 @@ def test_shifted_tables_fail_h3_where_b1_holds(monkeypatch):
 
     def shifted(n, a, left=False):
         sources, signs = real(n, abs(a), left)
-        return sources, signs * (np.array([[3], [-1], [-1], [-1]]) if a < 0 else np.array([[-1], [1], [1], [1]]))
+        return sources, signs * (np.array([3, -1, -1, -1]) if a < 0 else np.array([-1, 1, 1, 1]))
 
     monkeypatch.setattr(intspan, "t_action", shifted)
     failing = [(e["relation"], e["indices"]) for e in verify_relations(3) if not e["pass"]]
@@ -281,6 +282,13 @@ def test_subalgebra_dimension(n, expected):
     assert subalgebra_dimension(n) == expected == hecke_dimension(3, 6, n)
 
 
+def test_subalgebra_dimensions_are_the_stage_ranks_of_one_closure():
+    # the stages of the n = 5 closure are the closures of n = 1..4
+    assert t_word_ranks(5) == [1, 2, 6, 22, 86]
+    assert subalgebra_dimensions(5) == [hecke_dimension(3, 6, n) for n in range(2, 6)]
+    assert [subalgebra_dimensions(n) for n in (2, 3)] == [[2], [2, 6]]
+
+
 def _t_words(n, length):
     """Every T-word of at most `length` letters as a {word index: coefficient} dict.
 
@@ -322,7 +330,7 @@ def test_t_word_rank_matches_sympy(n):
         rows = {max(row, tuple(-c for c in row)) for row in rows}
         return sympy.Matrix(sorted(rows)).rank()
 
-    assert rank(rounds - 1) == rank(rounds) == t_word_rank(n)
+    assert rank(rounds - 1) == rank(rounds) == t_word_ranks(n)[-1]
 
 
 def _full_space_basis(n):
@@ -343,14 +351,14 @@ def _full_space_basis(n):
 def test_prefix_basis_equals_the_full_space_closure(n):
     # the fully reduced form with primitive rows and positive pivots is unique,
     # so the prefix stages must give the reference's rows, not just its rank
-    basis, pivots = _t_word_basis(n)
+    basis, pivots, ranks = _t_word_basis(n)
     want, want_pivots = _full_space_basis(n)
     assert np.array_equal(basis[:, pivots], np.diag(basis[np.arange(len(pivots)), pivots]))
     assert (basis[np.arange(len(pivots)), pivots] > 0).all()
     assert (np.gcd.reduce(basis, axis=1) == 1).all()
     assert sorted(map(tuple, basis.tolist())) == sorted(map(tuple, want.tolist()))
     assert sorted(pivots.tolist()) == sorted(want_pivots.tolist())
-    assert len(basis) == t_word_rank(n)
+    assert len(basis) == ranks[-1] == t_word_ranks(n)[-1]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -444,7 +452,7 @@ def test_letter_gather_matches_table_formula(n, shape):
     # the conjugation reference route, whose rows are like the Markov check's
     # unit rows (n <= 5 here), and a (2, rows, 4^(n-1)) stack for a leading
     # shape of more than one axis, which no caller passes now;
-    # each row must read (vec T_i)[y] = sum_k signs[k, y] * vec[sources[k, y]]
+    # each row must read (vec T_i)[y] = sum_k signs[y, k] * vec[sources[y, k]]
     size = word_count(n)
     if shape == "identity":
         vecs = np.eye(size, dtype=np.int64)
@@ -460,10 +468,10 @@ def test_letter_gather_matches_table_formula(n, shape):
             rows = (m.reshape(-1, size).tolist() for m in (vecs, plus, minus))
             for vec, got_plus, got_minus in zip(*rows):
                 want = [sum(s * vec[x] for s, x in zip(sg, src))
-                        for sg, src in zip(signs.T.tolist(), sources.T.tolist())]
+                        for sg, src in zip(signs.tolist(), sources.tolist())]
                 assert got_plus == want
                 assert got_minus == [2 * v - w for v, w in zip(vec, want)]
-            # the in-place sign multiply touches only the gathered copy
+            # the gather and the sign product leave the cached table and vecs unchanged
             assert not sources.flags.writeable and not signs.flags.writeable
             assert np.array_equal(sources, table[0]) and np.array_equal(signs, table[1])
             assert np.array_equal(vecs, before)
@@ -491,7 +499,21 @@ def test_t_action_matches_word_products(n, samples):
                     for x in sources_x:
                         w = Word.from_index(n, x)
                         sign, y = mul_words(t, w) if left else mul_words(w, t)
-                        assert (sources[k, y.index], signs[k, y.index]) == (x, negate * sign), (n, a, left, k, x)
+                        assert (sources[y.index, k], signs[y.index, k]) == (x, negate * sign), (n, a, left, k, x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_t_action_tables_are_word_major(n):
+    # `letter` takes one gather and one np.vecdot over the contiguous last axis;
+    # a transposed view of a (4, 4^(n-1)) table gives the same sums, only slower
+    for left in (False, True):
+        for i in range(1, n):
+            plus, minus = t_action(n, i, left), t_action(n, -i, left)
+            assert minus[0] is plus[0]
+            for array in plus + minus:
+                assert array.shape == (word_count(n), 4)
+                assert array.dtype == np.int64
+                assert array.flags.c_contiguous and not array.flags.writeable
 
 
 def test_reduce_with_non_unit_pivots():
@@ -552,8 +574,9 @@ def test_word_trace_guard_raises_on_the_same_letter(monkeypatch):
     # to divide out.  3^19 is below 2^31 and 3^20 is not, so the guard must stop
     # the 21st letter, as a read of every entry before every letter would,
     # although the carried bound 4^k passes 2^31 five letters earlier.
-    sources = np.tile(np.arange(4), (4, 1))
-    signs = np.repeat([[-1], [-1], [-1], [0]], 4, axis=1)
+    # word-major: every term of target word y reads word y, with signs -1, -1, -1, 0
+    sources = np.repeat(np.arange(4)[:, None], 4, axis=1)
+    signs = np.tile([-1, -1, -1, 0], (4, 1))
     monkeypatch.setattr(intspan, "t_action", lambda n, a, left=False: (sources, signs))
     for a in (1, -1):
         assert intspan.t_word_trace(2, [a] * 20) == (3**20, 0)
@@ -669,3 +692,6 @@ def test_subalgebra_dimension_range_check():
         subalgebra_dimension(1)
     with pytest.raises(ValueError):
         subalgebra_dimension(7)
+    for n_max in (1, 7):
+        with pytest.raises(ValueError):
+            subalgebra_dimensions(n_max)

@@ -170,7 +170,7 @@ def test_corrupted_t_table_is_caught(monkeypatch):
         sources, signs = t_action(n, i, left)
         if not left:
             signs = signs.copy()
-            signs[1, 0] = -signs[1, 0]
+            signs[0, 1] = -signs[0, 1]
         return sources, signs
 
     monkeypatch.setattr(intspan, "t_action", corrupted)
