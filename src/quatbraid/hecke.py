@@ -19,7 +19,6 @@ vectors is their Q-rank.  The s_1 conjugation check reads `image_group`'s table.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -88,14 +87,24 @@ def verify_relations(n: int) -> list[dict]:
     zero exactly when B1 holds and T_i^2 - 2T_i = T_j^2 - 2T_j.
     These expansions use no relation among the T_i, so they hold for whatever
     the tables compute, and a wrong table fails the same entries as the scaled
-    relations would.  At n = 2 only E1, inverse, cube and H1 occur.
+    relations would.  At n = 2 only E1, inverse, cube and H1 occur.  The words
+    share prefixes (T_i T_j T_i begins T_i T_j, T_i^3 begins T_i^2 and T_i),
+    so each distinct prefix is applied once per call, from the longest prefix
+    already computed; no product is kept past the call.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     one = _words(n, [0])[0]
+    products = {(): one}  # 1 times each word computed so far, left to right
 
-    def prod(*letters):  # 1 times the letters, left to right
-        return functools.reduce(lambda v, a: intspan.letter(v, n, a), letters, one)
+    def prod(*letters):  # from the longest computed prefix, one letter at a time
+        known = len(letters)
+        while letters[:known] not in products:
+            known -= 1
+        vec = products[letters[:known]]
+        for j in range(known, len(letters)):
+            vec = products[letters[:j + 1]] = intspan.letter(vec, n, letters[j])
+        return vec
 
     gens, far = range(1, n), [(i, j) for i in range(1, n) for j in range(i + 2, n)]
     braid = {i: np.array_equal(prod(i, i + 1, i), prod(i + 1, i, i + 1)) for i in range(1, n - 1)}

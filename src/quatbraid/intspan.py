@@ -11,15 +11,17 @@ non-identity signs negated.  The tables are word-major, one row of four
 letter of either sign, applies its table as one `take` along the word axis and
 one `np.vecdot` over the four terms, for any leading shape, and holds the 2^31
 guard; it reads every entry unless its caller passes a proven bound below 2^31.
-`t_word_trace` multiplies 1 by one letter at a time and reads off the identity
-coefficient; `braids.invariant` is built on it.  It applies each letter in the
-smallest strand-prefix algebra A_m that holds the vector so far, and grows the
-vector into A_(|a|+1) as the top-left block of its eps x nu grid only when a
-letter a with |a| >= m arrives: `t_action(m, a)` is `t_action(n, a)` restricted
-to the words of A_m, since `sign_bits` reads no bit at or above m - 1 of them.
-It carries a proven bound,
-times 4 per letter of either sign (four terms with signs +-1), and only when
-the bound reaches 2^31 divides out the common factors 2 and reads the vector.
+`t_word_state` multiplies 1, or the vector of a given state, by one letter at
+a time, and `t_word_trace` reads off the identity coefficient;
+`braids.invariant` is built on it, and `braids.markov_move_test` extends the
+state of beta by each stabilizing letter alone.  No state is changed in place.
+Each letter runs in the smallest strand-prefix algebra A_m that holds the
+vector so far; the vector grows into A_(|a|+1) as the top-left block of its
+eps x nu grid only when a letter a with |a| >= m arrives: `t_action(m, a)` is
+`t_action(n, a)` restricted to the words of A_m, since `sign_bits` reads no
+bit at or above m - 1 of them.  The state carries a proven bound, times 4 per
+letter of either sign (four terms with signs +-1), and only when the bound
+reaches 2^31 are the common factors 2 divided out and the vector read.
 Closing {1} under right multiplication by every T_i gives the Q-rank of all
 T-words exactly.  `_t_word_basis` closes it through the same strand prefixes:
 stage m embeds the closed (m-1)-strand basis, which the same restriction keeps
@@ -172,10 +174,19 @@ def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np
     return np.concatenate([basis, vecs]), np.append(pivots, new)
 
 
-def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
-    """(t, k) with 2^k t the identity coefficient of the product of T_i (letter +i)
-    and 2 - T_i (letter -i), multiplied on the right starting from 1; t is odd,
-    or (t, k) = (0, 0).  Raises ValueError for a letter a = 0 or |a| >= n.
+# The state of the empty T-word: the 1-strand vector 1, m = 1, k = 0, bound 1.
+_START = (np.ones(1, dtype=np.int64), 1, 0, 1)
+_START[0].flags.writeable = False
+
+
+def t_word_state(n: int, letters: list[int], state: tuple = _START) -> tuple[np.ndarray, int, int, int]:
+    """The state (vec, m, k, bound) after multiplying the state's T-word on the
+    right by T_i (letter +i) and 2 - T_i (letter -i), one letter at a time;
+    from the empty word by default.  2^k vec is the product on the m-strand
+    words and bound >= max|vec|.  Raises ValueError for a letter a = 0 or
+    |a| >= n.  A state is never changed, so one state can be extended by
+    several words: that of beta by both its stabilizing letters, that of a
+    prefix by each word it begins.
 
     The vector starts as the 1-entry vector of the 1-strand algebra and lives
     in the m-strand algebra, m the most strands its letters so far need.  A
@@ -194,14 +205,15 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
     2 commutes with the integer-linear letters, so the vector divided there is
     the one a division after every letter would hold; `letter` therefore raises
     OverflowError on the same letter as a read of every entry before every
-    letter would, and below the bound no entry can reach 2^31.
+    letter would, and below the bound no entry can reach 2^31.  The state after
+    a word w then w' is the state after the word w w', so resuming runs the
+    same integer operations as one pass over w w'.
     """
-    vec = np.ones(1, dtype=np.int64)
-    m, k, bound = 1, 0, 1
+    vec, m, k, bound = state
     for a in letters:
         if bound >= _ENTRY_LIMIT:
             twos = _twos(int(np.bitwise_or.reduce(vec)))
-            vec >>= twos
+            vec = vec >> twos  # a new array: the given state keeps its vector
             k += twos
             bound = _magnitude(vec)
         i = abs(a)
@@ -211,6 +223,16 @@ def t_word_trace(n: int, letters: list[int]) -> tuple[int, int]:
             vec, m = _embed(vec, m, i + 1), i + 1
         vec = letter(vec, m, a, bound=bound)
         bound *= 4
+    return vec, m, k, bound
+
+
+def t_word_trace(n: int, letters: list[int], state: tuple = _START) -> tuple[int, int]:
+    """(t, k) with 2^k t the identity coefficient of the state's T-word times
+    the letters (`t_word_state`), from the empty word by default: the product
+    of T_i (letter +i) and 2 - T_i (letter -i), multiplied on the right
+    starting from 1.  t is odd, or (t, k) = (0, 0).  Raises ValueError for a
+    letter a = 0 or |a| >= n."""
+    vec, _, k, _ = t_word_state(n, letters, state)
     t = int(vec[0])
     if not t:
         return 0, 0
@@ -250,7 +272,7 @@ def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     m starts from the (m-1)-strand basis, embedded by `_embed` with its pivots
     mapped to the words of the same masks; the zero padding keeps it fully
     reduced.  `t_action(m, a)` restricted to that block is `t_action(m - 1, a)`
-    (see `t_word_trace`), so the embedded span is closed under T_1..T_(m-2) and
+    (see `t_word_state`), so the embedded span is closed under T_1..T_(m-2) and
     the stage's first frontier is the embedded basis times T_(m-1).  Each later
     round multiplies the rows the previous round added by every T_1..T_(m-1),
     in blocks of BLOCK_ROWS rows; the stage ends when a round adds nothing.

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatbraid import braids, intspan
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import (
     MAX_BRAIDED_STRANDS,
@@ -69,6 +70,46 @@ def test_markov_move_report_shape():
     assert rep["invariant"] == ["-2", "0"]
     with pytest.raises(ValueError):
         markov_move_test(BraidWord(2, (1,)), trials=0)
+
+
+def _stabilizations(beta):
+    """The two values markov_move_test compares with I(beta): beta's state extended by each stabilizing letter."""
+    shift, braided = braids.braided_span(beta)
+    state = intspan.t_word_state(braided, braids._relabel(beta.letters, shift))
+    return [braids._stabilized(beta, sign, shift, state) for sign in (1, -1)]
+
+
+def test_extended_stabilizations_equal_the_invariant():
+    rng = random.Random(31)
+    words = [random_braid(rng, max_strands=7, max_length=14) for _ in range(60)]
+    # the empty word on 1 and 3 strands (its letter moves the span), words
+    # without letter 1 (shift > 0) and a word on 7 braided strands
+    words += [BraidWord(1), BraidWord(3), BraidWord(5, (2, -3, 3)), BraidWord(6, (4, 4, -5)), BraidWord(7, (1, -6, 3))]
+    for beta in words:
+        assert _stabilizations(beta) == [invariant(beta.stabilize(sign)) for sign in (1, -1)], beta
+
+
+def test_markov_moves_apply_beta_once_and_one_letter_per_stabilization(monkeypatch):
+    # with every conjugation trial's letters counted apart, beta's letters run
+    # once (for I(beta)) and each stabilization adds its one letter
+    beta = BraidWord(4, (3, -2, 1, 2, -3, 3))
+    conjugated = []
+    real_invariant = braids.invariant
+    monkeypatch.setattr(braids, "invariant", lambda b: conjugated.append(len(b.letters)) or real_invariant(b))
+    calls = []
+    real = intspan.letter
+    monkeypatch.setattr(intspan, "letter", lambda vecs, n, a, **kw: calls.append(a) or real(vecs, n, a, **kw))
+    assert markov_move_test(beta, trials=3, seed=4)["pass"]
+    assert len(conjugated) == 3 and len(calls) == sum(conjugated) + len(beta.letters) + 2
+
+
+def test_stabilization_past_the_braided_strand_cap_raises_as_invariant_does():
+    beta = BraidWord(8, (1, -7, 2))  # braids 8 strands; either stabilization braids 9
+    with pytest.raises(ValueError) as want:
+        invariant(beta.stabilize(1))
+    with pytest.raises(ValueError) as got:
+        markov_move_test(beta, trials=1)
+    assert str(got.value) == str(want.value) == "the word braids 9 strands; the invariant supports at most 8"
 
 
 def test_stabilizations_preserve_invariant():

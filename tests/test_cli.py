@@ -497,8 +497,11 @@ def test_markov_failure_carries_reproducer(monkeypatch):
     drawn = [(random_braid(rng), rng.randrange(2**30)) for _ in range(kwargs["markov_braids"])]
     beta, braid_seed = drawn[1]
     broken = beta.stabilize(1)
-    real = braids.invariant
-    monkeypatch.setattr(braids, "invariant", lambda b: real(b) + ONE if b == broken else real(b))
+    # markov_move_test reads a stabilization off beta's extended T-word state,
+    # not through braids.invariant, so the wrong value goes in where that state's
+    # trace becomes the stabilized word's invariant
+    real = braids._from_trace
+    monkeypatch.setattr(braids, "_from_trace", lambda b, tr: real(b, tr) + ONE if b == broken else real(b, tr))
 
     check = next(c for c in run_suite(**kwargs)["checks"] if c["name"].startswith("markov-moves"))
     assert not check["pass"] and check["actual"] == 1

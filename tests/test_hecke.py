@@ -1,5 +1,6 @@
 """Braid generators, their relations, the Markov property, and span closure."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatbraid import image_group, intspan
 from quatbraid.algebra import AlgebraElement, Word, index_masks, mul_words, quad_words, word_count
-from quatbraid.braids import BraidWord, invariant
+from quatbraid.braids import BraidWord, invariant, markov_move_test, random_braid
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
     S_COEFF,
@@ -206,6 +207,53 @@ def test_flipped_table_sign_fails_a_relation(monkeypatch):
 
         monkeypatch.setattr(intspan, "t_action", flipped)
         assert [(e["relation"], e["indices"]) for e in verify_relations(4) if not e["pass"]] == failing
+
+
+def _relation_words(n):
+    """The T-words verify_relations(n) compares, as letter tuples."""
+    words = set()
+    for i in range(1, n):
+        words |= {(i,), (i, i), (i, i, i), (i, -i)}
+    for i in range(1, n - 1):
+        words |= {(i, i + 1, i), (i + 1, i, i + 1)}
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            words |= {(i, j), (j, i)}
+    return words
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_relations_apply_each_prefix_once(monkeypatch, n):
+    # B1's words begin with T_i T_j, the cube's with T_i^2 and T_i, and so on:
+    # one letter call per distinct nonempty prefix, however often it recurs
+    prefixes = {w[:j] for w in _relation_words(n) for j in range(1, len(w) + 1)}
+    calls = []
+    real = intspan.letter
+    monkeypatch.setattr(intspan, "letter", lambda vecs, m, a, *args, **kw: calls.append(a) or real(vecs, m, a, *args, **kw))
+    report = verify_relations(n)
+    assert all(e["pass"] for e in report), report
+    assert len(calls) == len(prefixes)
+    assert sorted(calls) == sorted(w[-1] for w in prefixes)
+
+
+def test_relations_and_markov_moves_leave_no_reference_cycles():
+    # the products verify_relations shares live in a dict local to the call and
+    # the stabilizations extend a state that is never changed in place; neither
+    # may leave garbage that only the cycle collector frees
+    verify_relations(6)
+    markov_move_test(BraidWord(3, (1, -2)))
+    rng = random.Random(29)
+    words = [random_braid(rng) for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        verify_relations(6)
+        assert gc.collect() == 0
+        for seed, beta in enumerate(words):
+            markov_move_test(beta, trials=1, seed=seed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shifted_tables_fail_h3_where_b1_holds(monkeypatch):
@@ -637,6 +685,41 @@ def test_word_trace_matches_normalizing_after_every_letter(word):
     want_t, want_k = _normalized_trace(n, letters)
     assert t * 2**k == want_t * 2**want_k, (n, letters)
     assert t % 2 == 1 or (t, k) == (0, 0), (n, letters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_letters(8))
+def test_word_trace_resumes_from_any_split(word):
+    # the state after a prefix, extended by the rest, gives the one-shot trace
+    n, letters = word
+    want = intspan.t_word_trace(n, letters)
+    for j in range(len(letters) + 1):
+        assert intspan.t_word_trace(n, letters[j:], intspan.t_word_state(n, letters[:j])) == want, (n, letters, j)
+
+
+def test_word_trace_resumes_across_the_division_by_2():
+    # T_1^603 = -2^603 on 3 strands: the bound passes 2^31 at the 17th letter,
+    # so a state after 16 letters divides before its first resumed letter
+    letters = [1] * 603
+    for j in (0, 15, 16, 17, 31, 32, 33, 300, 602, 603):
+        assert intspan.t_word_trace(3, letters[j:], intspan.t_word_state(3, letters[:j])) == (-1, 603), j
+    vec, m, k, bound = intspan.t_word_state(3, letters[:16])
+    assert (m, k, bound) == (2, 0, 4**16) and bound >= 2**31
+
+
+@pytest.mark.parametrize("n, head, tails", [
+    (3, [1] * 16, [[1], [-2], [2, -1]]),             # the tails start by dividing out the 2s
+    (5, [4, -1, 2, -3, 1], [[4], [-4], [1, 2]]),
+    (2, [], [[1], [-1]]),
+])
+def test_extending_a_state_leaves_it_unchanged(n, head, tails):
+    state = intspan.t_word_state(n, head)
+    vec = state[0].copy()
+    for tail in tails:
+        first = intspan.t_word_trace(n, tail, state)
+        assert intspan.t_word_trace(n, tail, state) == first == intspan.t_word_trace(n, head + tail)
+        assert np.array_equal(state[0], vec)
+    assert intspan.t_word_trace(n, []) == (1, 0)
 
 
 def test_word_trace_grows_the_vector_with_the_letters(monkeypatch):
