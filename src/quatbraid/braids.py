@@ -27,9 +27,9 @@ letter runs in the strand-prefix algebra A_m (m - 1 the largest |letter| so
 far), whose words are the block of the larger algebra's words with no bit at or
 above m - 1, where the larger tables restrict to the A_m ones.  So a
 stabilization's last letter alone runs on the added strand's 4 times larger vector.
-A stabilization of beta is beta's word and that one letter, on the same
-relabelled strands unless beta is empty, so `markov_move_test` builds beta's
-`intspan.t_word_state` once and extends it by each stabilizing letter alone.
+A stabilization of beta is beta's word and that one letter, so
+`markov_move_test` builds beta's `intspan.t_word_state` once and extends it by
+each stabilizing letter alone.
 
 `closed_form` is the suite's second route to the same value:
 
@@ -144,18 +144,23 @@ def _from_trace(beta: BraidWord, trace: tuple[int, int]) -> Scalar:
     return Scalar.of(t << e if e >= 0 else Fraction(t, 1 << -e))
 
 
-def _stabilized(beta: BraidWord, sign: int, shift: int, state: tuple) -> Scalar:
-    """I(beta.stabilize(sign)) from `intspan.t_word_state` of beta's word relabelled by shift.
+def _word_state(beta: BraidWord) -> tuple[tuple, Scalar]:
+    """beta's `intspan.t_word_state`, of its letters relabelled as in `invariant`, and I(beta) read off it."""
+    shift, braided = braided_span(beta)
+    state = intspan.t_word_state(braided, _relabel(beta.letters, shift))
+    return state, _from_trace(beta, intspan.t_word_trace(braided, [], state))
 
-    The stabilized word is beta's word and one letter, so unless that letter
-    moves the span (beta empty on 2 or more strands, where `invariant` runs)
+
+def _stabilized(beta: BraidWord, sign: int, state: tuple) -> Scalar:
+    """I(beta.stabilize(sign)) from beta's state (`_word_state`).
+
+    The stabilized word is beta's word and one letter, relabelled by the same
+    shift (for an empty beta the state is the empty word's at any shift), so
     its trace is the state extended by that letter alone.  `braided_span`
     still checks the stabilized word, so it raises where `invariant` would.
     """
     stab = beta.stabilize(sign)
-    stab_shift, braided = braided_span(stab)
-    if stab_shift != shift:
-        return invariant(stab)
+    shift, braided = braided_span(stab)
     return _from_trace(stab, intspan.t_word_trace(braided, _relabel(stab.letters[-1:], shift), state))
 
 
@@ -190,14 +195,12 @@ def random_braid(rng: random.Random, max_strands: int = 5, max_length: int = 12)
 def markov_move_test(beta: BraidWord, trials: int = 20, seed: int = 0) -> dict:
     """Exact invariance of I under random conjugations and both stabilizations.
 
-    beta's T-word state is built once: it gives I(beta), and each stabilization
+    beta's T-word state is built once (`_word_state`): it gives I(beta), and each stabilization
     extends it by its one letter (`_stabilized`)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
-    shift, braided = braided_span(beta)
-    state = intspan.t_word_state(braided, _relabel(beta.letters, shift))
-    base = _from_trace(beta, intspan.t_word_trace(braided, [], state))
+    state, base = _word_state(beta)
     failures = []
     for t in range(trials):
         glen = rng.randint(1, 6) if beta.strands >= 2 else 0  # one strand has no letters
@@ -207,7 +210,7 @@ def markov_move_test(beta: BraidWord, trials: int = 20, seed: int = 0) -> dict:
         if invariant(conj) != base:
             failures.append({"move": "conjugation", "trial": t, "gamma": list(gamma.letters)})
     for sign in (1, -1):
-        if _stabilized(beta, sign, shift, state) != base:
+        if _stabilized(beta, sign, state) != base:
             failures.append({"move": "stabilization", "sign": sign})
     return {
         "strands": beta.strands,

@@ -72,13 +72,6 @@ def test_markov_move_report_shape():
         markov_move_test(BraidWord(2, (1,)), trials=0)
 
 
-def _stabilizations(beta):
-    """The two values markov_move_test compares with I(beta): beta's state extended by each stabilizing letter."""
-    shift, braided = braids.braided_span(beta)
-    state = intspan.t_word_state(braided, braids._relabel(beta.letters, shift))
-    return [braids._stabilized(beta, sign, shift, state) for sign in (1, -1)]
-
-
 def test_extended_stabilizations_equal_the_invariant():
     rng = random.Random(31)
     words = [random_braid(rng, max_strands=7, max_length=14) for _ in range(60)]
@@ -86,7 +79,11 @@ def test_extended_stabilizations_equal_the_invariant():
     # without letter 1 (shift > 0) and a word on 7 braided strands
     words += [BraidWord(1), BraidWord(3), BraidWord(5, (2, -3, 3)), BraidWord(6, (4, 4, -5)), BraidWord(7, (1, -6, 3))]
     for beta in words:
-        assert _stabilizations(beta) == [invariant(beta.stabilize(sign)) for sign in (1, -1)], beta
+        # the state and the values markov_move_test compares
+        state, base = braids._word_state(beta)
+        assert base == invariant(beta), beta
+        for sign in (1, -1):
+            assert braids._stabilized(beta, sign, state) == invariant(beta.stabilize(sign)), (beta, sign)
 
 
 def test_markov_moves_apply_beta_once_and_one_letter_per_stabilization(monkeypatch):
