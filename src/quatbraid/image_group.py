@@ -24,12 +24,15 @@ word sign rule (`_mul_codes`).  Each central hit is still rebuilt along its
 BFS path (the generator and parent of each element) and checked on every word.
 
 A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
-for n <= MAX_N = 5 the targets of a key are the 8 bytes of one uint64 and
-its signs those of a second.  New elements are found by one sort of the
-target words.  Every pair of rows the sort merges is checked to agree in
-its sign word too; a pair that does not would be an element that changes
-signs only, a nontrivial sign kernel, and raises RuntimeError.  So the
-result is that of comparing whole signed codes.
+for n <= MAX_N = 5 the targets of a key, padded to 8 codes with code 0 (word
+0 is 1, fixed by every table), are the 8 bytes of one uint64 and its signs
+those of a second; the tables' gathers write those bytes straight into the
+buffers a level step sorts.  New elements are found by one sort of the
+target words, and one copy of each is kept, so a level is in target order.
+Every pair of rows the sort merges is checked to agree in its sign word too;
+a pair that does not would be an element that changes signs only, a
+nontrivial sign kernel, and raises RuntimeError.  So the result is that of
+comparing whole signed codes.
 
 The conjugation action and the left-regular matrices both come from the
 integer letters T_i and 2 - T_i of `intspan.letter`; the action applies them to
@@ -158,30 +161,22 @@ def _mul_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return ((ta ^ tb) << 1) | ((a ^ b ^ odd) & 1)
 
 
-def _pack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each key row of at most 8 signed codes as two uint64s, one byte per code:
-    the targets code >> 1 (below 256 for n <= MAX_N) and the signs code & 1."""
-    packed = np.zeros((2, len(keys), 8), dtype=np.uint8)
-    packed[0, :, : keys.shape[1]] = keys >> 1
-    packed[1, :, : keys.shape[1]] = keys & 1
-    targets, signs = packed.view(np.uint64)[:, :, 0]
-    return targets, signs
-
-
-def _first_new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.ndarray:
-    """Sorted positions, counted from `known`, of the first copy of each row
-    of targets[known:] that equals no row of targets[:known].  Raises
+def _new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.ndarray:
+    """Positions, counted from `known`, of one copy of each row of targets[known:]
+    that equals no row of targets[:known], in the order of their targets.  Raises
     RuntimeError if two rows with equal targets differ in their signs."""
     order = np.argsort(targets)
     ranked = targets[order]
     merged = ranked[1:] == ranked[:-1]
     ranked_signs = signs[order]
-    if (ranked_signs[1:] != ranked_signs[:-1])[merged].any():
+    if ((ranked_signs[1:] != ranked_signs[:-1]) & merged).any():
         raise RuntimeError("sign kernel: two elements agree on every target but not on every sign")
     starts = np.flatnonzero(np.concatenate([[True], ~merged]))
-    # the smallest position in each run of equal rows is its first copy
-    first = np.minimum.reduceat(order, starts)
-    return np.sort(first[first >= known]) - known
+    # a run of equal rows is known if it holds a row below `known`; the sorted
+    # positions of those rows fall in their runs by one binary search
+    new = np.ones(len(starts), dtype=bool)
+    new[np.searchsorted(starts, np.flatnonzero(order < known), side="right") - 1] = False
+    return order[starts[new]] - known
 
 
 # links[L-1] = (gen, parent): row k of BFS level L is signed[gen[k]] after row parent[k] of level L-1.
@@ -196,28 +191,41 @@ def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tupl
     every neighbour of level L lies in level L-1, L or L+1: new rows are told
     apart from the last two levels only.  Raises EnumerationCapExceeded as
     soon as more than cap elements are found, before their level is yielded.
+
+    A level's keys are padded to 8 codes with code 0, which every table fixes
+    (word 0 is 1), so each table's gather of a key row is 8 target bytes, one
+    uint64, and 8 sign bytes, a second.  Each level step fills one uint64
+    buffer of targets and one of signs: the packed rows of the last two levels
+    first, then each table's gather of every key, table by table, so candidate
+    row gen * len(keys) + parent is signed[gen] after key row parent.  One copy
+    of each new row is kept, in target order.
     """
-    keys = 2 * base[None, :].astype(np.uint16)
-    # the packed keys of the last two levels
-    known_targets, known_signs = _pack(keys)
+    assert not signed[:, 0].any(), "every table must fix word 0, the code the keys are padded with"
+    targets_of, signs_of = (signed >> 1).astype(np.uint8), (signed & 1).astype(np.uint8)
+    # the packed (targets, signs) rows of the level before and of this one, first the identity
+    before, level = np.empty((2, 0), dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)
+    level.view(np.uint8)[0, : len(base)] = base
     links: Links = []
     found = 1
     while True:
-        yield keys, links
-        candidates = _after(signed, keys).reshape(-1, keys.shape[1])
-        targets, signs = _pack(candidates)
-        fresh = _first_new_rows(
-            np.concatenate([known_targets, targets]), np.concatenate([known_signs, signs]), len(known_targets)
-        )
+        targets, signs = level.view(np.uint8).reshape(2, -1, 8)
+        keys = (targets.astype(np.uint16) << 1) | signs
+        yield keys[:, : len(base)], links
+        known = before.shape[1] + level.shape[1]
+        rows = np.empty((2, known + len(signed) * len(keys)), dtype=np.uint64)
+        rows[:, : before.shape[1]] = before
+        rows[:, before.shape[1] : known] = level
+        # every key code is a table's output, so in range; mode "raise" would buffer `out`
+        for table, out in zip((targets_of, signs_of), rows[:, known:]):
+            np.take(table, keys, axis=1, out=out.view(np.uint8).reshape(len(signed), len(keys), 8), mode="clip")
+        fresh = _new_rows(*rows, known)
         if not fresh.size:
             return
         found += len(fresh)
         if found > cap:
             raise EnumerationCapExceeded(cap, found)
         links.append(np.divmod(fresh, len(keys)))
-        known_targets = np.concatenate([known_targets[-len(keys) :], targets[fresh]])
-        known_signs = np.concatenate([known_signs[-len(keys) :], signs[fresh]])
-        keys = candidates[fresh]
+        before, level = level, rows.take(known + fresh, axis=1)
 
 
 def _full_row(signed: np.ndarray, links: Links, k: int) -> np.ndarray:
@@ -259,11 +267,10 @@ def _central_rows(keys: np.ndarray, links: Links, signed: np.ndarray, checks: li
     for a, k, sign, factors in checks:
         if not alive.size:
             return []
-        rows = keys[alive]
-        el_a = rows[:, factors[0]]
+        el_a = keys[alive, factors[0]]
         for f in factors[1:]:
-            el_a = _mul_codes(el_a, rows[:, f], n)
-        alive = alive[(el_a ^ sign) == _after(a, rows[:, k])]
+            el_a = _mul_codes(el_a, keys[alive, f], n)
+        alive = alive[(el_a ^ sign) == _after(a, keys[alive, k])]
     central = [_full_row(signed, links, k) for k in alive]
     for row in central:
         # a[::2] is the unsigned code row of a

@@ -304,8 +304,16 @@ def _first_new_rows_reference(keys, known):
     return fresh
 
 
+def _packed(keys):
+    """Each key row padded to 8 codes with code 0, its targets as one uint64 and its signs as a second."""
+    padded = np.zeros((len(keys), 8), dtype=np.uint16)
+    padded[:, : keys.shape[1]] = keys
+    return np.stack([padded >> 1, padded & 1]).astype(np.uint8).view(np.uint64)[:, :, 0]
+
+
 @pytest.mark.parametrize("width", [4, 8])
 def test_first_new_rows_matches_first_copy_reference(width):
+    # one copy of each new row, in target order: the first-copy oracle's rows as a set, with equal count
     rng = np.random.default_rng(width)
     pool = rng.integers(0, 512, size=(40, width), dtype=np.uint16)
     pool[:4, 0] = 511  # target 255, the largest one byte holds
@@ -314,16 +322,43 @@ def test_first_new_rows_matches_first_copy_reference(width):
     pool[np.arange(20, 40), rng.integers(width, size=20)] ^= 2
     assert len({row.tobytes() for row in pool >> 1}) == len(pool)
     keys = pool[rng.integers(len(pool), size=600)]
+    targets, signs = _packed(keys)
     for known in (0, 1, 150):  # 150 known rows hold repeats of one another
-        got = image_group._first_new_rows(*image_group._pack(keys), known)
-        assert got.tolist() == _first_new_rows_reference(keys, known)
+        got = image_group._new_rows(targets, signs, known)
+        want = _first_new_rows_reference(keys, known)
+        got_rows = {keys[known + k].tobytes() for k in got}
+        assert len(got) == len(want)
+        assert got_rows == {keys[known + k].tobytes() for k in want}
+        assert not got_rows & {row.tobytes() for row in keys[:known]}
+        ranked = targets[known + got]
+        assert (ranked[1:] > ranked[:-1]).all()
 
 
 @pytest.mark.parametrize("known", [0, 1, 2])
 def test_first_new_rows_rejects_rows_that_differ_in_signs_only(known):
     keys = np.array([[2, 4, 6, 8], [3, 4, 6, 8]], dtype=np.uint16)
     with pytest.raises(RuntimeError, match="not on every sign"):
-        image_group._first_new_rows(*image_group._pack(keys), known)
+        image_group._new_rows(*_packed(keys), known)
+
+
+def test_bfs_raises_on_a_table_that_flips_one_sign_only():
+    # s_1, s_2 and their inverses at n = 3, plus the involution -1 on the code of
+    # one generator word: its row agrees with the identity's on every target
+    signed = image_group._signed_tables(3)
+    base = image_group._generator_words(3)
+    flip, x = np.arange(signed.shape[1], dtype=np.uint16), 2 * base[1]
+    flip[x], flip[x + 1] = x + 1, x
+    levels = image_group._bfs_levels(np.vstack([signed, flip]), base, image_group.MAX_ELEMENTS)
+    with pytest.raises(RuntimeError, match="^sign kernel: two elements agree on every target but not on every sign$"):
+        list(levels)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_table_fixes_word_0(n):
+    # the BFS pads each key to 8 codes with code 0, which must gather to code 0
+    signed = image_group._signed_tables(n)
+    assert len(signed) == 2 * (n - 1)
+    assert (signed[:, 0] == 0).all()
 
 
 def test_enumerate_range_check():
