@@ -31,7 +31,7 @@ from quatbraid.scalar import Scalar
 # S_COEFF = -1/(2 zeta) = (zeta - 1)/2 and _SINV_COEFF = -zeta/2
 S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
-MAX_DIMENSION_N = 6  # the largest n subalgebra_dimension supports
+MAX_DIMENSION_N = 7  # the largest n subalgebra_dimension supports
 
 
 def _quad_span(n: int, i: int, coeff: Scalar, signs: tuple[int, int, int, int]) -> AlgebraElement:
@@ -193,11 +193,19 @@ def subalgebra_dimensions(n_max: int) -> list[int]:
     coordinates on the word basis, and a set of rational vectors has the same
     rank over Q(zeta) as over Q (Gaussian elimination never leaves the field
     of the entries).  So the dimension is the Q-rank of the T-words, which
-    `intspan.t_word_ranks` computes through the strand prefixes 2..n_max, each
-    closed from the embedded basis of the one before, with batched elimination
-    over Z, entries below 2^31 and matrix products below 2^62 (else
-    OverflowError); the rank after stage n is the dimension for n strands.
+    `intspan.t_word_ranks` computes through the strand prefixes 2..n_max, with
+    batched elimination over Z, entries below 2^31 and matrix products below
+    2^62 (else OverflowError); the rank after stage n is the dimension for n
+    strands.  Each step of a stage multiplies only the rows W_k the step before
+    added, by the next Hecke coset letter T_c: S_(k+1) = S_k + W_k T_c for the
+    spans S_k after k steps (`intspan._t_word_basis`), exact given B1, B2 and
+    E1.  So every entry of `verify_relations(n_max)` must pass first (the
+    tables on fewer strands are restrictions of these); RuntimeError names any
+    that fails.
     """
     if not 2 <= n_max <= MAX_DIMENSION_N:
         raise ValueError(f"supported range is 2 <= n <= {MAX_DIMENSION_N}")
+    failed = [f"{e['relation']}{e['indices']}" for e in verify_relations(n_max) if not e["pass"]]
+    if failed:
+        raise RuntimeError(f"span closure needs the Hecke relations; failed: {', '.join(failed)}")
     return intspan.t_word_ranks(n_max)[1:]

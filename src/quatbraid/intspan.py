@@ -25,12 +25,15 @@ reaches 2^31 are the common factors 2 divided out and the vector read.
 Closing {1} under right multiplication by every T_i gives the Q-rank of all
 T-words exactly.  `_t_word_basis` closes it through the same strand prefixes:
 stage m embeds the closed (m-1)-strand basis, which the same restriction keeps
-closed under T_1..T_(m-2), and multiplies it by T_(m-1), then the rows each
-round adds by every T_i.  Each block of a round costs one int64 matrix product
-against the basis, the elimination of its new pivots among its own rows, and
-one more product that clears those pivots from the old rows.  Both factors of
-every elementwise multiply are below 2^31, and A @ B is taken only when max|A|
-times the columns of A times max|B| is below 2^62, so int64 never wraps
+closed under T_1..T_(m-2), and takes one step per Hecke coset letter
+T_(m-1), ..., T_1, multiplying only the rows W_k the step before added (at
+first the embedded basis): S_(k+1) = S_k + W_k T_c for the spans S_k after k
+steps, exact given B1, B2 and E1, which `hecke.subalgebra_dimensions` checks
+in the same call.  Each block of a step costs one int64 matrix product against
+the basis, the elimination of its new pivots among its own rows, and one more
+product that clears those pivots from the old rows.  Both factors of every
+elementwise multiply are below 2^31, and A @ B is taken only when max|A| times
+the columns of A times max|B| is below 2^62, so int64 never wraps
 (OverflowError instead).
 `hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
@@ -272,24 +275,29 @@ def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     m starts from the (m-1)-strand basis, embedded by `_embed` with its pivots
     mapped to the words of the same masks; the zero padding keeps it fully
     reduced.  `t_action(m, a)` restricted to that block is `t_action(m - 1, a)`
-    (see `t_word_state`), so the embedded span is closed under T_1..T_(m-2) and
-    the stage's first frontier is the embedded basis times T_(m-1).  Each later
-    round multiplies the rows the previous round added by every T_1..T_(m-1),
-    in blocks of BLOCK_ROWS rows; the stage ends when a round adds nothing.
+    (see `t_word_state`), so the embedded span H_(m-1) is closed under
+    T_1..T_(m-2).  The stage then takes m - 1 steps, in blocks of BLOCK_ROWS
+    rows: step 1 multiplies the embedded basis by T_(m-1), and step k only the
+    rows W_(k-1) that step k - 1 added, by T_(m-k).  The span S_k after k steps
+    is the sum of H_(m-1) T_(m-1)...T_j over j >= m - k.  The next letter T_c,
+    c = m - k - 1, lies in H_(m-1) and commutes (B2) with T_(m-1)..T_(m-k+1),
+    so S_(k-1) T_c lies in S_(k-1) and S_(k+1) = S_k + W_k T_c.  The sum over
+    all j is closed under every T_i given B1, B2 and E1 (T^2 = 2T - 4), the
+    coset decomposition of the Hecke algebra (Jones 1987; Geck-Pfeiffer 2000,
+    4.4), which `hecke.subalgebra_dimensions` checks before it calls this.
     """
     basis, pivots = np.ones((1, 1), dtype=np.int64), np.zeros(1, dtype=np.intp)
     ranks = [1]
     for m in range(2, n + 1):
         eps, nu = index_masks(m - 1, pivots)
         basis, pivots = _embed(basis, m - 1, m), (eps << (m - 1)) | nu
-        frontier, start, letters = basis.copy(), len(basis), [m - 1]
-        while len(frontier):
+        frontier, start = basis.copy(), len(basis)
+        for c in range(m - 1, 0, -1):
             for b in range(0, len(frontier), BLOCK_ROWS):
-                for i in letters:
-                    basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], m, i))
+                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], m, c))
             if len(basis) > word_count(m):
                 raise RuntimeError("span closure exceeded the ambient dimension")
-            frontier, start, letters = basis[start:].copy(), len(basis), range(1, m)
+            frontier, start = basis[start:].copy(), len(basis)
         ranks.append(len(basis))
     return basis, pivots, ranks
 

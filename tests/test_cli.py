@@ -70,7 +70,7 @@ def test_invariant_bad_letter(runner):
 @pytest.mark.parametrize(
     "args",
     [
-        ["dim", "--n", "7"],
+        ["dim", "--n", "8"],
         ["dim", "--n", "1"],
         ["center", "--n", "1"],
         ["center", "--n", "4097"],
@@ -92,11 +92,11 @@ def test_invariant_bad_letter(runner):
         ["cover-dim", "--seifert", {"json": '{"rows": [[1]]}'}],
         ["cover-dim", "--seifert", {"json": '"abc"'}],
         ["suite", "--group-n-max", "6", "--dim-n-max", "2", "--markov-braids", "0"],
-        ["suite", "--dim-n-max", "7", "--group-n-max", "2", "--markov-braids", "0"],
+        ["suite", "--dim-n-max", "8", "--group-n-max", "2", "--markov-braids", "0"],
         ["suite", "--markov-braids", "-3", "--group-n-max", "2", "--dim-n-max", "2"],
         ["suite", "--max", "-5", "--group-n-max", "2", "--dim-n-max", "2", "--markov-braids", "0"],
         ["suite", "--config", {"json": '{"group_n_max": 6, "dim_n_max": 2, "markov_braids": 0}'}],
-        ["suite", "--config", {"json": '{"dim_n_max": 7, "group_n_max": 2, "markov_braids": 0}'}],
+        ["suite", "--config", {"json": '{"dim_n_max": 8, "group_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"markov_braids": -3, "group_n_max": 2, "dim_n_max": 2}'}],
         ["suite", "--config", {"json": '{"relation_n_max": 2}'}],
         ["suite", "--config", {"json": '{"relation_n_max": 9}'}],
@@ -316,7 +316,7 @@ def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"group_n_max": 6}, {"dim_n_max": 7}, {"markov_braids": -3}, {"max_group_elements": 0},
+    [{"group_n_max": 6}, {"dim_n_max": 8}, {"markov_braids": -3}, {"max_group_elements": 0},
      {"relation_n_max": 2}, {"relation_n_max": 9}, {"dim_n_max": 1}, {"group_n_max": 1}],
     ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap", "relation-n-max",
          "relation-n-max-above-8", "dim-n-max-below-2", "group-n-max-below-2"],

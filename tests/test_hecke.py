@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatbraid import image_group, intspan
+from quatbraid import hecke, image_group, intspan
 from quatbraid.algebra import AlgebraElement, Word, index_masks, mul_words, quad_words, word_count
 from quatbraid.braids import BraidWord, invariant, markov_move_test, random_braid
 from quatbraid.diagrams import hecke_dimension
@@ -335,6 +335,40 @@ def test_subalgebra_dimensions_are_the_stage_ranks_of_one_closure():
     assert t_word_ranks(5) == [1, 2, 6, 22, 86]
     assert subalgebra_dimensions(5) == [hecke_dimension(3, 6, n) for n in range(2, 6)]
     assert [subalgebra_dimensions(n) for n in (2, 3)] == [[2], [2, 6]]
+
+
+def test_subalgebra_dimensions_require_the_relations_first(monkeypatch):
+    # the coset order is exact only given B1, B2 and E1, so a failed relation
+    # stops the call before any closure work
+    def no_closure(n):
+        raise AssertionError("the span closure ran despite a failed relation")
+
+    monkeypatch.setattr(hecke, "verify_relations", lambda n: [
+        {"relation": "B1", "indices": [1], "pass": True},
+        {"relation": "E1", "indices": [2], "pass": False},
+    ])
+    monkeypatch.setattr(intspan, "_t_word_basis", no_closure)
+    with pytest.raises(RuntimeError, match=r"E1\[2\]") as err:
+        subalgebra_dimensions(4)
+    assert "B1" not in str(err.value)
+
+
+def test_closure_multiplies_at_most_each_stage_rank_of_rows(monkeypatch):
+    # stage m multiplies the embedded basis and then only each step's new rows,
+    # one coset letter per step, T_(m-1) down to T_1
+    rows, letters = {}, {}
+    real = intspan.letter
+
+    def counted(vecs, n, a, *args, **kwargs):
+        rows[n] = rows.get(n, 0) + len(vecs)
+        letters.setdefault(n, []).append(a)
+        return real(vecs, n, a, *args, **kwargs)
+
+    monkeypatch.setattr(intspan, "letter", counted)
+    ranks = _t_word_basis(6)[2]
+    assert sorted(rows) == list(range(2, 7))
+    assert all(rows[m] <= ranks[m - 1] for m in rows), (rows, ranks)
+    assert all(seq == sorted(seq, reverse=True) and seq[0] == m - 1 for m, seq in letters.items()), letters
 
 
 def _t_words(n, length):
@@ -774,7 +808,7 @@ def test_subalgebra_dimension_range_check():
     with pytest.raises(ValueError):
         subalgebra_dimension(1)
     with pytest.raises(ValueError):
-        subalgebra_dimension(7)
-    for n_max in (1, 7):
+        subalgebra_dimension(8)
+    for n_max in (1, 8):
         with pytest.raises(ValueError):
             subalgebra_dimensions(n_max)
