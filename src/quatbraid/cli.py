@@ -48,8 +48,10 @@ def _emit(command: str, fields: dict, json_out=None) -> None:
 
 
 class _Cli(click.Group):
-    """The one error path: a usage error, a ValueError or an OSError from any
-    command becomes one `error:` line on stderr and exit code 1."""
+    """The one error path: a usage error, a ValueError, an OSError or a
+    RuntimeError (a failed internal guard) from any command becomes one
+    `error:` line on stderr and exit code 1.  `group` and `suite` catch the
+    RuntimeError EnumerationCapExceeded themselves and exit 2."""
 
     def main(self, *args, **kwargs):
         try:
@@ -60,7 +62,7 @@ class _Cli(click.Group):
             _fail("aborted")
         except OSError as exc:
             _fail(f"{exc.filename}: {exc.strerror}" if exc.filename and exc.strerror else str(exc))
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:
             _fail(str(exc))
 
 

@@ -27,12 +27,17 @@ A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
 for n <= MAX_N = 5 the targets of a key, padded to 8 codes with code 0 (word
 0 is 1, fixed by every table), are the 8 bytes of one uint64 and its signs
 those of a second; the tables' gathers write those bytes straight into the
-buffers a level step sorts.  New elements are found by one sort of the
-target words, and one copy of each is kept, so a level is in target order.
-Every pair of rows the sort merges is checked to agree in its sign word too;
-a pair that does not would be an element that changes signs only, a
-nontrivial sign kernel, and raises RuntimeError.  So the result is that of
-comparing whole signed codes.
+buffers a level step sorts.  New elements are found by one value sort of
+the words (low 32 bits of the targets) << 32 | position: the low half holds
+the targets of key codes 0..3 (u_1..u_4 at n = 5; u_1..u_3, v_1 at n = 4;
+the whole key at n <= 3), and the position breaks ties, so each run of equal
+low halves starts with its first copy, which is kept.  A level is thus in
+low-half order.  Every pair of rows the sort merges must agree in its whole
+target word, else RuntimeError says the low halves collided, and in its sign
+word, else the pair is an element that changes signs only, a nontrivial
+sign kernel, and RuntimeError says so.  So the result is that of
+comparing whole signed codes; the low halves of the 3, 12, 648 and 77,760
+elements at n = 2..5 are distinct (the low 24 bits would not be).
 
 The conjugation action and the left-regular matrices both come from the
 integer letters T_i and 2 - T_i of `intspan.letter`; the action applies them to
@@ -162,21 +167,32 @@ def _mul_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 def _new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.ndarray:
-    """Positions, counted from `known`, of one copy of each row of targets[known:]
-    that equals no row of targets[:known], in the order of their targets.  Raises
-    RuntimeError if two rows with equal targets differ in their signs."""
-    order = np.argsort(targets)
-    ranked = targets[order]
-    merged = ranked[1:] == ranked[:-1]
-    ranked_signs = signs[order]
-    if ((ranked_signs[1:] != ranked_signs[:-1]) & merged).any():
-        raise RuntimeError("sign kernel: two elements agree on every target but not on every sign")
-    starts = np.flatnonzero(np.concatenate([[True], ~merged]))
-    # a run of equal rows is known if it holds a row below `known`; the sorted
-    # positions of those rows fall in their runs by one binary search
-    new = np.ones(len(starts), dtype=bool)
-    new[np.searchsorted(starts, np.flatnonzero(order < known), side="right") - 1] = False
-    return order[starts[new]] - known
+    """Positions, counted from `known`, of the first copy of each row of
+    targets[known:] that equals no row of targets[:known], in the order of the
+    low 32 bits of their targets.
+
+    Rows are told apart by that low half alone: one sort of the words
+    (low half << 32) | position (a level step has far fewer than 2^32 rows)
+    puts each run of equal low halves in position order, so its first word is
+    its first copy, and the run is known exactly when that copy lies below
+    `known`.  Raises RuntimeError if two rows of a
+    run differ in their whole targets (the low halves collided) or in their
+    signs (a sign kernel), so the result is that of whole signed codes."""
+    key = (targets << np.uint64(32)) | np.arange(len(targets), dtype=np.uint64)
+    key.sort()
+    order = key.view(np.int64) & 0xFFFFFFFF
+    key >>= np.uint64(32)  # now the sorted low halves
+    merged = key[1:] == key[:-1]
+    for words, message in (
+        (targets, "low target halves collided: two elements agree on the low 32 bits of their targets only"),
+        (signs, "sign kernel: two elements agree on every target but not on every sign"),
+    ):
+        ranked = words[order]
+        if ((ranked[1:] != ranked[:-1]) & merged).any():
+            raise RuntimeError(message)
+        del ranked  # freed before the next gather, which lowers the peak memory
+    first = order[np.flatnonzero(np.concatenate([[True], ~merged]))]
+    return first[first >= known] - known
 
 
 # links[L-1] = (gen, parent): row k of BFS level L is signed[gen[k]] after row parent[k] of level L-1.
@@ -197,8 +213,10 @@ def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tupl
     uint64, and 8 sign bytes, a second.  Each level step fills one uint64
     buffer of targets and one of signs: the packed rows of the last two levels
     first, then each table's gather of every key, table by table, so candidate
-    row gen * len(keys) + parent is signed[gen] after key row parent.  One copy
-    of each new row is kept, in target order.
+    row gen * len(keys) + parent is signed[gen] after key row parent.  The
+    first copy of each new row is kept, in the order of the low 32 bits of
+    its targets (`_new_rows`); two rows that agree there but not in their
+    whole targets or signs raise RuntimeError.
     """
     assert not signed[:, 0].any(), "every table must fix word 0, the code the keys are padded with"
     targets_of, signs_of = (signed >> 1).astype(np.uint8), (signed & 1).astype(np.uint8)

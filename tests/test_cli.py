@@ -63,6 +63,17 @@ def _assert_one_line_error(result):
     assert "Traceback" not in result.output
 
 
+def test_failed_internal_guard_is_one_line_error(runner, monkeypatch):
+    # a RuntimeError from a guard (here the span closure's relation check)
+    # takes the one error path, not a traceback
+    monkeypatch.setattr("quatbraid.hecke.verify_relations", lambda n: [
+        {"relation": "E1", "indices": [2], "pass": False},
+    ])
+    result = runner.invoke(cli, ["dim", "--n", "4"])
+    _assert_one_line_error(result)
+    assert result.output == "error: span closure needs the Hecke relations; failed: E1[2]\n"
+
+
 def test_invariant_bad_letter(runner):
     _assert_one_line_error(runner.invoke(cli, ["invariant", "--strands", "2", "--word", "3"]))
 

@@ -313,32 +313,56 @@ def _packed(keys):
 
 @pytest.mark.parametrize("width", [4, 8])
 def test_first_new_rows_matches_first_copy_reference(width):
-    # one copy of each new row, in target order: the first-copy oracle's rows as a set, with equal count
+    # exactly the first-copy oracle's positions, as a set and in count, in
+    # low-half order; the pool's rows are distinct in the low half, the targets
+    # of codes 0..3, which is the whole key at width 4
     rng = np.random.default_rng(width)
     pool = rng.integers(0, 512, size=(40, width), dtype=np.uint16)
     pool[:4, 0] = 511  # target 255, the largest one byte holds
-    # rows that differ from another in one target only
+    # rows that differ from another in one low-half target only
     pool[20:] = pool[:20]
-    pool[np.arange(20, 40), rng.integers(width, size=20)] ^= 2
-    assert len({row.tobytes() for row in pool >> 1}) == len(pool)
+    pool[np.arange(20, 40), rng.integers(4, size=20)] ^= 2
+    assert len({row.tobytes() for row in pool[:, :4] >> 1}) == len(pool)
     keys = pool[rng.integers(len(pool), size=600)]
     targets, signs = _packed(keys)
     for known in (0, 1, 150):  # 150 known rows hold repeats of one another
         got = image_group._new_rows(targets, signs, known)
         want = _first_new_rows_reference(keys, known)
-        got_rows = {keys[known + k].tobytes() for k in got}
         assert len(got) == len(want)
-        assert got_rows == {keys[known + k].tobytes() for k in want}
-        assert not got_rows & {row.tobytes() for row in keys[:known]}
-        ranked = targets[known + got]
-        assert (ranked[1:] > ranked[:-1]).all()
+        assert set(got.tolist()) == set(want)
+        low = targets[known + got] & np.uint64(0xFFFFFFFF)
+        assert (low[1:] > low[:-1]).all()
 
 
 @pytest.mark.parametrize("known", [0, 1, 2])
 def test_first_new_rows_rejects_rows_that_differ_in_signs_only(known):
     keys = np.array([[2, 4, 6, 8], [3, 4, 6, 8]], dtype=np.uint16)
-    with pytest.raises(RuntimeError, match="not on every sign"):
+    with pytest.raises(RuntimeError, match="^sign kernel: two elements agree on every target but not on every sign$"):
         image_group._new_rows(*_packed(keys), known)
+
+
+@pytest.mark.parametrize("known", [0, 1, 2])
+def test_first_new_rows_rejects_rows_that_differ_in_the_high_half_only(known):
+    # equal targets at codes 0..3, different at code 7: the sort merges the
+    # two rows, and the full target words must then agree
+    keys = np.array([[2, 4, 6, 8, 10, 12, 14, 16], [2, 4, 6, 8, 10, 12, 14, 18]], dtype=np.uint16)
+    message = "^low target halves collided: two elements agree on the low 32 bits of their targets only$"
+    with pytest.raises(RuntimeError, match=message):
+        image_group._new_rows(*_packed(keys), known)
+
+
+@pytest.mark.parametrize("n, order", [(2, 3), (3, 12), (4, 648), (5, 77760)])
+def test_low_target_halves_tell_the_elements_apart(n, order):
+    # the premise of `_new_rows`: the targets of key codes 0..3, the low 32
+    # bits of a packed target word, differ between any two elements
+    signed = image_group._signed_tables(n)
+    base = image_group._generator_words(n)
+    levels = image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS)
+    low = np.concatenate([keys[:, :4] >> 1 for keys, _ in levels])
+    assert len(np.unique(low, axis=0)) == len(low) == enumerate_group(n)["imageOrder"] == order
+    if n == 5:
+        # the low 24 bits, codes 0..2, give one value per element up to the centre only
+        assert len(np.unique(low[:, :3], axis=0)) == order // 3
 
 
 def test_bfs_raises_on_a_table_that_flips_one_sign_only():
