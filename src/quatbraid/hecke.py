@@ -193,10 +193,9 @@ def subalgebra_dimensions(n_max: int) -> list[int]:
     coordinates on the word basis, and a set of rational vectors has the same
     rank over Q(zeta) as over Q (Gaussian elimination never leaves the field
     of the entries).  So the dimension is the Q-rank of the T-words, which
-    `intspan.t_word_ranks` computes through the strand prefixes 2..n_max, with
-    batched elimination over Z, entries below 2^31 and matrix products below
-    2^62 (else OverflowError); the rank after stage n is the dimension for n
-    strands.  Each step of a stage multiplies only the rows W_k the step before
+    `intspan.t_word_ranks` computes through the strand prefixes 2..n_max by an
+    exact sparse elimination over Z in Python ints; the rank after stage n is
+    the dimension for n strands.  Each step of a stage multiplies only the rows W_k the step before
     added, by the next Hecke coset letter T_c: S_(k+1) = S_k + W_k T_c for the
     spans S_k after k steps (`intspan._t_word_basis`), exact given B1, B2 and
     E1.  So every entry of `verify_relations(n_max)` must pass first (the

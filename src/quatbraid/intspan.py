@@ -22,19 +22,11 @@ eps x nu grid only when a letter a with |a| >= m arrives: `t_action(m, a)` is
 bit at or above m - 1 of them.  The state carries a proven bound, times 4 per
 letter of either sign (four terms with signs +-1), and only when the bound
 reaches 2^31 are the common factors 2 divided out and the vector read.
-Closing {1} under right multiplication by every T_i gives the Q-rank of all
-T-words exactly.  `_t_word_basis` closes it through the same strand prefixes:
-stage m embeds the closed (m-1)-strand basis, which the same restriction keeps
-closed under T_1..T_(m-2), and takes one step per Hecke coset letter
-T_(m-1), ..., T_1, multiplying only the rows W_k the step before added (at
-first the embedded basis): S_(k+1) = S_k + W_k T_c for the spans S_k after k
-steps, exact given B1, B2 and E1, which `hecke.subalgebra_dimensions` checks
-in the same call.  Each block of a step costs one int64 matrix product against
-the basis, the elimination of its new pivots among its own rows, and one more
-product that clears those pivots from the old rows.  Both factors of every
-elementwise multiply are below 2^31, and A @ B is taken only when max|A| times
-the columns of A times max|B| is below 2^62, so int64 never wraps
-(OverflowError instead).
+`_t_word_basis` closes {1} under right multiplication by every T_i through the
+same strand prefixes, one step per Hecke coset letter (exact given B1, B2, E1),
+for the exact Q-rank of all T-words.  Its basis is sparse rows {word: Python
+int}, fully reduced by `_insert` with no bound on the entries; only the
+products are dense, BLOCK_ROWS rows to a `letter` call.
 `hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 
@@ -44,6 +36,7 @@ matrix it is given (left T_i matrices, Seifert forms V +- V^T) is integral.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -51,8 +44,8 @@ import numpy as np
 
 from quatbraid.algebra import index_masks, quad_words, sign_bits, word_count
 
-# entry and matrix product bounds; int64 holds the difference of two products
-_ENTRY_LIMIT, _PRODUCT_LIMIT = 1 << 31, 1 << 62
+# entry bound of `letter`: four terms below 2^31 stay far inside int64
+_ENTRY_LIMIT = 1 << 31
 # The most rows one `letter` call multiplies, here and in `hecke.verify_markov`;
 # bounds the batch temporaries (at n = 5, 16 rows ran faster than 64 and kept
 # those of one product near 0.25 MB instead of 1 MB).
@@ -114,9 +107,9 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     return np.vecdot(vecs.take(sources, axis=-1), signs)
 
 
-def _check(bound: int, limit: int = _ENTRY_LIMIT) -> None:
-    if bound >= limit:
-        raise OverflowError(f"an integer value could reach 2^{limit.bit_length() - 1}; int64 could wrap")
+def _check(bound: int) -> None:
+    if bound >= _ENTRY_LIMIT:
+        raise OverflowError("an integer value could reach 2^31; int64 could wrap")
 
 
 def _magnitude(*arrays: np.ndarray) -> int:
@@ -124,57 +117,48 @@ def _magnitude(*arrays: np.ndarray) -> int:
     return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size), default=0)
 
 
-def _primitive(rows: np.ndarray) -> np.ndarray:
-    """Each row divided by the gcd of its entries; zero rows are returned as is."""
-    return rows // np.maximum(np.gcd.reduce(rows, axis=-1, keepdims=True), 1)
+def _subtract(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    """a set to (b[p] a - a[p] b) / gcd(a[p], b[p]), zero at column p, in place; zeros stay as entries."""
+    g = math.gcd(a[p], b[p])
+    x, y = b[p] // g, a[p] // g
+    if x != 1:
+        for c in a:
+            a[c] *= x
+    for c, v in b.items():
+        a[c] = a.get(c, 0) - y * v
+    return a
 
 
-def _reduce(vecs: np.ndarray, basis: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """Primitive rows spanning vecs modulo the basis, zero at every pivot column.
+def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
+    """The nonzero entries of row divided by their gcd, signed so that row[pivot] > 0."""
+    row = {c: v for c, v in row.items() if v}
+    g = math.gcd(*row.values()) * (1 if row[pivot] > 0 else -1)
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
-    The basis is fully reduced, so basis[:, pivots] is diagonal with positive
-    pivots d; with L = lcm(d) this is L vecs - (vecs[:, pivots] L/d) @ basis.
+
+def _insert(rows: dict[int, dict[int, int]], holders: dict[int, set[int]], vec: dict[int, int]) -> int | None:
+    """Add the sparse row vec (given up by the caller) to the fully reduced basis
+    `rows`, pivot -> row, with `holders`, a defaultdict(set) from each column to
+    the pivots of the rows nonzero there; return the new pivot, or None if vec
+    lies in the span.  vec is reduced by the rows of the pivots it holds, each
+    zero at the other pivots; its first nonzero column q is the new pivot,
+    cleared from the rows that hold it.  Rows are replaced, never changed in place.
     """
-    d = basis[np.arange(len(pivots)), pivots]
-    lcm = math.lcm(*set(d.tolist()))
-    _check(max(lcm, _magnitude(vecs)))
-    coeffs = vecs[:, pivots] * (lcm // d)
-    used = np.flatnonzero(coeffs.any(axis=0))
-    coeffs, rows = coeffs[:, used], basis[used]
-    _check(_magnitude(coeffs) * len(used) * _magnitude(rows), _PRODUCT_LIMIT)
-    return _primitive(lcm * vecs - coeffs @ rows)
-
-
-def _insert(basis: np.ndarray, pivots: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fully reduced basis and pivots with vecs added: old rows change in place, new rows last.
-
-    One `_reduce` clears the old pivots from the block; its nonzero rows are then
-    eliminated among themselves, each new pivot row clearing its column in the
-    others by `_reduce` with a one-row basis.  The new rows are then zero at the
-    old pivots and fully reduced with positive pivots, so one more `_reduce`
-    clears every new pivot column from the old rows that are nonzero there.
-    """
-    vecs = _reduce(_primitive(vecs), basis, pivots)
-    vecs = vecs[vecs.any(axis=1)]
-    new = []
-    for r in range(len(vecs)):
-        nonzero = np.flatnonzero(vecs[r])
-        if not nonzero.size:
-            continue
-        p = int(nonzero[0])
-        vecs[r] *= np.sign(vecs[r, p])
-        hit = np.flatnonzero(vecs[:, p])
-        hit = hit[hit != r]
-        if hit.size:
-            vecs[hit] = _reduce(vecs[hit], vecs[r:r + 1], np.array([p]))
-        new.append(p)
-    if not new:
-        return basis, pivots
-    vecs, new = vecs[vecs.any(axis=1)], np.array(new)
-    hit = np.flatnonzero(basis[:, new].any(axis=1))
-    if hit.size:
-        basis[hit] = _reduce(basis[hit], vecs, new)
-    return np.concatenate([basis, vecs]), np.append(pivots, new)
+    for p in [c for c in vec if c in rows]:
+        _subtract(vec, rows[p], p)
+    q = min((c for c, v in vec.items() if v), default=None)
+    if q is None:
+        return None
+    vec = _primitive(vec, q)
+    for p in list(holders[q]):
+        old = rows[p]
+        rows[p] = new = _primitive(_subtract(dict(old), vec, q), p)
+        for c in vec:
+            (holders[c].add if c in new else holders[c].discard)(p)
+    rows[q] = vec
+    for c in vec:
+        holders[c].add(q)
+    return q
 
 
 # The state of the empty T-word: the 1-strand vector 1, m = 1, k = 0, bound 1.
@@ -264,42 +248,58 @@ def t_word_ranks(n: int) -> list[int]:
     return _t_word_basis(n)[2]
 
 
-def _t_word_basis(n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The span of the T-words on n strands as a fully reduced echelon basis over Z
-    with primitive rows and positive pivots, its pivot columns, and the rank of
-    the span after each stage m = 1..n (the T-words on m strands).
+def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], np.ndarray, list[int]]:
+    """The span of the T-words on n strands as a fully reduced echelon basis over
+    Z, sparse primitive rows keyed by their positive pivots; those pivots in order;
+    and the rank after each stage m = 1..n (the T-words on m strands).
 
     That form is unique: the pivots are the leading columns of the span, and the
-    row of pivot p is its one primitive vector that is zero at the other pivots
-    and positive at p.  It is built through the strand prefixes m = 2..n.  Stage
-    m starts from the (m-1)-strand basis, embedded by `_embed` with its pivots
-    mapped to the words of the same masks; the zero padding keeps it fully
-    reduced.  `t_action(m, a)` restricted to that block is `t_action(m - 1, a)`
-    (see `t_word_state`), so the embedded span H_(m-1) is closed under
-    T_1..T_(m-2).  The stage then takes m - 1 steps, in blocks of BLOCK_ROWS
-    rows: step 1 multiplies the embedded basis by T_(m-1), and step k only the
-    rows W_(k-1) that step k - 1 added, by T_(m-k).  The span S_k after k steps
-    is the sum of H_(m-1) T_(m-1)...T_j over j >= m - k.  The next letter T_c,
+    row of pivot p is its one primitive vector zero at the other pivots and
+    positive at p.  Stage m = 2..n starts from the (m-1)-strand basis with each
+    column (eps, nu) relabelled eps 2^(m-1) | nu, the word of the same masks (as
+    in `_embed`), which keeps the column order and so the full reduction;
+    `t_action(m, a)` restricted to those words is `t_action(m - 1, a)` (see
+    `t_word_state`), so the embedded span H_(m-1) is closed under T_1..T_(m-2).
+    Step 1 multiplies the embedded basis by T_(m-1), and step k only the rows
+    W_(k-1) that step k - 1 added, by T_(m-k).  The span S_k after k steps is
+    the sum of H_(m-1) T_(m-1)...T_j over j >= m - k.  The next letter T_c,
     c = m - k - 1, lies in H_(m-1) and commutes (B2) with T_(m-1)..T_(m-k+1),
     so S_(k-1) T_c lies in S_(k-1) and S_(k+1) = S_k + W_k T_c.  The sum over
     all j is closed under every T_i given B1, B2 and E1 (T^2 = 2T - 4), the
-    coset decomposition of the Hecke algebra (Jones 1987; Geck-Pfeiffer 2000,
-    4.4), which `hecke.subalgebra_dimensions` checks before it calls this.
+    coset decomposition of the Hecke algebra (Jones 1987; Geck-Pfeiffer 2000, 4.4).
+
+    A finding at n = 2..7 that nothing here relies on: the entries are -1, 0, 1,
+    the identity word's row is that word alone, every other row has three
+    entries, each word index is in one row, so the rank is (4^(n-1) + 2)/3.
     """
-    basis, pivots = np.ones((1, 1), dtype=np.int64), np.zeros(1, dtype=np.intp)
-    ranks = [1]
+    rows, ranks = {0: {0: 1}}, [1]
     for m in range(2, n + 1):
-        eps, nu = index_masks(m - 1, pivots)
-        basis, pivots = _embed(basis, m - 1, m), (eps << (m - 1)) | nu
-        frontier, start = basis.copy(), len(basis)
+        low = (1 << (m - 2)) - 1  # c + (c & ~low) moves eps up one bit
+        old, rows, holders = rows, {}, collections.defaultdict(set)
+        for row in old.values():
+            _insert(rows, holders, {c + (c & ~low): v for c, v in row.items()})
+        frontier = list(rows.values())
         for c in range(m - 1, 0, -1):
-            for b in range(0, len(frontier), BLOCK_ROWS):
-                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], m, c))
-            if len(basis) > word_count(m):
+            added = [_insert(rows, holders, vec) for b in range(0, len(frontier), BLOCK_ROWS)
+                     for vec in _letter_rows(frontier[b:b + BLOCK_ROWS], m, c)]
+            if len(rows) > word_count(m):
                 raise RuntimeError("span closure exceeded the ambient dimension")
-            frontier, start = basis[start:].copy(), len(basis)
-        ranks.append(len(basis))
-    return basis, pivots, ranks
+            frontier = [rows[p] for p in added if p is not None]
+        ranks.append(len(rows))
+    return rows, np.fromiter(rows, dtype=np.intp, count=len(rows)), ranks
+
+
+def _letter_rows(rows: list[dict[int, int]], m: int, a: int) -> list[dict[int, int]]:
+    """The sparse rows times letter a on m strands: one dense int64 block through
+    `letter`, which holds the 2^31 guard, and one `np.nonzero` back."""
+    block = np.zeros((len(rows), word_count(m)), dtype=np.int64)
+    block[[r for r, row in enumerate(rows) for _ in row], [c for row in rows for c in row]] = [
+        v for row in rows for v in row.values()]
+    block = letter(block, m, a)
+    out, (r, c) = [{} for _ in rows], np.nonzero(block)
+    for i, j, v in zip(r.tolist(), c.tolist(), block[r, c].tolist()):
+        out[i][j] = v
+    return out
 
 
 def exact_determinant(mat: list[list[int]]) -> int:

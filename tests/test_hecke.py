@@ -1,6 +1,8 @@
 """Braid generators, their relations, the Markov property, and span closure."""
 
+import collections
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import BLOCK_ROWS, _embed, _insert, _reduce, _t_word_basis, letter, t_action, t_word_ranks
+from quatbraid.intspan import BLOCK_ROWS, _embed, _insert, _t_word_basis, letter, t_action, t_word_ranks
 from quatbraid.scalar import ONE, Scalar, ZETA, qpow
 
 
@@ -415,32 +417,114 @@ def test_t_word_rank_matches_sympy(n):
     assert rank(rounds - 1) == rank(rounds) == t_word_ranks(n)[-1]
 
 
+def _basis(*vecs):
+    """The fully reduced basis of dense integer rows, each added by `_insert` from empty."""
+    rows, holders = {}, collections.defaultdict(set)
+    for vec in vecs:
+        _insert(rows, holders, {c: v for c, v in enumerate(vec) if v})
+    return rows, holders
+
+
+def _holders(rows):
+    """The column index `_insert` keeps, rebuilt from the rows: column -> pivots of the rows nonzero there."""
+    holders = {}
+    for p, row in rows.items():
+        for c in row:
+            holders.setdefault(c, set()).add(p)
+    return holders
+
+
+def _assert_fully_reduced(rows, holders=None):
+    # no zero entries, positive pivots, primitive rows, zero at the other pivots,
+    # and a column index, when given, that names exactly the rows nonzero at each column
+    assert all(all(row.values()) for row in rows.values())
+    assert all(row[p] > 0 for p, row in rows.items())
+    assert all(math.gcd(*row.values()) == 1 for row in rows.values())
+    assert all(row.keys() & rows.keys() == {p} for p, row in rows.items())
+    assert holders is None or {c: s for c, s in holders.items() if s} == _holders(rows)
+
+
 def _full_space_basis(n):
-    """The closure in the full n-strand space, one word length per round from 1."""
+    """The closure in the full n-strand space, one word length per round from 1.
+
+    Products go through `letter` on dense rows built here, not through the
+    closure's own block conversion.
+    """
     size = word_count(n)
-    one = np.eye(1, size, Word.identity(n).index, dtype=np.int64)
-    basis, pivots = _insert(np.zeros((0, size), dtype=np.int64), np.zeros(0, dtype=np.intp), one)
-    start = 0
-    while start < len(basis):
-        frontier, start = basis[start:].copy(), len(basis)
+    rows, holders = _basis()
+    _insert(rows, holders, {Word.identity(n).index: 1})
+    frontier = list(rows.values())
+    while frontier:
+        added = []
         for b in range(0, len(frontier), BLOCK_ROWS):
+            block = np.zeros((len(frontier[b:b + BLOCK_ROWS]), size), dtype=np.int64)
+            for r, row in enumerate(frontier[b:b + BLOCK_ROWS]):
+                for c, v in row.items():
+                    block[r, c] = v
             for i in range(1, n):
-                basis, pivots = _insert(basis, pivots, letter(frontier[b:b + BLOCK_ROWS], n, i))
-    return basis, pivots
+                for vec in letter(block, n, i).tolist():
+                    added.append(_insert(rows, holders, {c: v for c, v in enumerate(vec) if v}))
+        frontier = [rows[p] for p in added if p is not None]
+    return rows, holders
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_prefix_basis_equals_the_full_space_closure(n):
     # the fully reduced form with primitive rows and positive pivots is unique,
     # so the prefix stages must give the reference's rows, not just its rank
-    basis, pivots, ranks = _t_word_basis(n)
-    want, want_pivots = _full_space_basis(n)
-    assert np.array_equal(basis[:, pivots], np.diag(basis[np.arange(len(pivots)), pivots]))
-    assert (basis[np.arange(len(pivots)), pivots] > 0).all()
-    assert (np.gcd.reduce(basis, axis=1) == 1).all()
-    assert sorted(map(tuple, basis.tolist())) == sorted(map(tuple, want.tolist()))
-    assert sorted(pivots.tolist()) == sorted(want_pivots.tolist())
-    assert len(basis) == ranks[-1] == t_word_ranks(n)[-1]
+    rows, pivots, ranks = _t_word_basis(n)
+    want, holders = _full_space_basis(n)
+    _assert_fully_reduced(rows)
+    _assert_fully_reduced(want, holders)
+    assert list(rows) == pivots.tolist()
+    assert rows == want
+    assert sorted(pivots.tolist()) == sorted(want)
+    assert len(rows) == ranks[-1] == t_word_ranks(n)[-1]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_basis_shape_finding(n):
+    # a finding the closure does not rely on: entries in {-1, 0, 1}, the
+    # identity word's row is that word alone, every other row has three
+    # entries, and each word index lies in exactly one row
+    rows, pivots, ranks = _t_word_basis(n)
+    assert {v for row in rows.values() for v in row.values()} <= {-1, 1}
+    assert rows[Word.identity(n).index] == {Word.identity(n).index: 1}
+    assert all(len(row) == 3 for p, row in rows.items() if p != Word.identity(n).index)
+    assert sorted(c for row in rows.values() for c in row) == list(range(word_count(n)))
+    assert len(rows) == ranks[-1] == (4 ** (n - 1) + 2) // 3
+
+
+def _primitive_rref(vecs):
+    """sympy's rref rows of vecs, each scaled to a primitive integer row, keyed by its pivot."""
+    import sympy
+
+    rref, pivots = sympy.Matrix(vecs).rref()
+    want = {}
+    for r, p in enumerate(pivots):
+        row = rref.row(r)
+        scale = math.lcm(*(x.q for x in row))
+        ints = [int(x * scale) for x in row]
+        g = math.gcd(*ints)
+        want[p] = {c: v // g for c, v in enumerate(ints) if v}
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_insert_matches_sympy(data):
+    # random small row sets with non-unit pivots and entries past 2^62: the
+    # rank is sympy's, and the rows are sympy's rref rows made primitive with
+    # positive pivots (rref pivots are 1)
+    import sympy
+
+    cols = data.draw(st.integers(1, 6), label="columns")
+    entry = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(1 << 66), 1 << 66))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=7), label="rows")
+    rows, holders = _basis(*vecs)
+    _assert_fully_reduced(rows, holders)
+    assert len(rows) == sympy.Matrix(vecs).rank()
+    assert rows == _primitive_rref(vecs)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -600,55 +684,42 @@ def test_t_action_tables_are_word_major(n):
 
 def test_reduce_with_non_unit_pivots():
     # lcm(2, 3) = 6: 6 (1, 1, 1) - 3 (2, 0, 1) - 2 (0, 3, 1) = (0, 0, 1)
-    basis = np.array([[2, 0, 1], [0, 3, 1]], dtype=np.int64)
-    pivots = np.array([0, 1])
-    vecs = np.array([[1, 1, 1], [2, 0, 1], [2, 3, 0]], dtype=np.int64)
-    assert _reduce(vecs, basis, pivots).tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, -1]]
+    rows, holders = _basis([2, 0, 1], [0, 3, 1])
+    assert rows == {0: {0: 2, 2: 1}, 1: {1: 3, 2: 1}}
+    # (2, 0, 1) and (4, 3, 3) lie in the span; (2, 3, 0) reduces to (0, 0, -1)
+    assert _insert(rows, holders, {0: 2, 2: 1}) is None
+    assert _insert(rows, holders, {0: 4, 1: 3, 2: 3}) is None
+    other, other_holders = _basis([2, 0, 1], [0, 3, 1], [2, 3, 0])
     # adding (0, 0, 1) clears the last column of the basis, which stays primitive
-    basis, pivots = _insert(basis, pivots, vecs[:1])
-    assert basis.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and pivots.tolist() == [0, 1, 2]
+    assert _insert(rows, holders, {0: 1, 1: 1, 2: 1}) == 2
+    assert rows == other == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}} and list(rows) == [0, 1, 2]
+    _assert_fully_reduced(rows, holders)
+    _assert_fully_reduced(other, other_holders)
 
 
 def test_closure_overflow_guard():
     big = np.array([[1 << 31, 1, 0, 0], [0, 1, 0, 1]], dtype=np.int64)
-    unit = np.eye(4, dtype=np.int64)[:1]
-    # either letter on either side, and the batched reduction of its input
+    # either letter on either side
     with pytest.raises(OverflowError):
         letter(big, 2, 1)
     with pytest.raises(OverflowError):
         letter(big, 2, -1, left=True)
-    with pytest.raises(OverflowError):
-        _reduce(big, unit, np.array([0]))
-    with pytest.raises(OverflowError):
-        _insert(unit, np.array([0]), big)
-    # the elimination of a block among itself: a big cancelled row, a big pivot row
-    with pytest.raises(OverflowError):
-        _reduce(big, big[1:], np.array([1]))
-    with pytest.raises(OverflowError):
-        _reduce(big[1:], big[:1], np.array([0]))
-    # a new pivot row that the reduction left at -near^2, clearing 3 in a block row
-    near = (1 << 31) - 1
-    pivot_row = np.array([[1, 0, near]], dtype=np.int64)
-    with pytest.raises(OverflowError):
-        _insert(pivot_row, np.array([0]), np.array([[near, 1, 0], [0, 3, 1]], dtype=np.int64))
-    # a basis row whose product with the coefficients could pass 2^62
-    huge = np.array([[1 << 62, 1, 0, 0]], dtype=np.int64)
-    with pytest.raises(OverflowError):
-        _reduce(np.array([[0, 2, 0, 0]], dtype=np.int64), huge, np.array([1]))
-    # entries below 2^31 whose matrix product could pass 2^62 and wrap int64
-    basis = np.hstack([np.eye(4, dtype=np.int64), np.full((4, 1), near)])
-    with pytest.raises(OverflowError):
-        _reduce(np.array([[near] * 4 + [0]], dtype=np.int64), basis, np.arange(4))
-    # two new pivot rows that together clear one old row past 2^62, although
-    # either alone would leave it below: with a = near,
+    # the elimination is in Python ints: the same rows, and rows past 2^62,
+    # reduce exactly and raise nothing
+    rows, _ = _basis(*big.tolist())
+    assert rows == {0: {0: 1 << 31, 3: -1}, 1: {1: 1, 3: 1}}
+    # two pivot rows that together clear an old row past 2^62: with a > 2^62,
     # (1, a, a, 0) - a (0, 1, 0, a) - a (0, 0, 1, a) = (1, 0, 0, -2a^2)
-    old = np.array([[1, near, near, 0]], dtype=np.int64)
-    with pytest.raises(OverflowError):
-        _insert(old, np.array([0]), np.array([[0, 1, 0, near], [0, 0, 1, near]], dtype=np.int64))
+    a = (1 << 62) + 1
+    rows, holders = _basis([1, a, a, 0], [0, 1, 0, a], [0, 0, 1, a])
+    assert rows == {0: {0: 1, 3: -2 * a * a}, 1: {1: 1, 3: a}, 2: {2: 1, 3: a}}
+    _assert_fully_reduced(rows, holders)
     # pivots whose lcm passes 2^31: 65537 * 65539 > 2^32
-    primes = np.array([[65537, 0], [0, 65539]], dtype=np.int64)
-    with pytest.raises(OverflowError):
-        _reduce(np.array([[1, 1]], dtype=np.int64), primes, np.arange(2))
+    rows, holders = _basis([65537, 0, 1], [0, 65539, 1], [1, 1, 0])
+    assert rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    # a row with an entry past 2^63, which no int64 holds
+    rows, _ = _basis([1, 0, 1 << 70], [1, 1, 0])
+    assert rows == {0: {0: 1, 2: 1 << 70}, 1: {1: 1, 2: -(1 << 70)}}
 
 
 def test_word_trace_guard_raises_on_the_same_letter(monkeypatch):
