@@ -128,8 +128,7 @@ def braided_span(beta: BraidWord) -> tuple[int, int]:
 
 def invariant(beta: BraidWord) -> Scalar:
     """I(beta) = 2^(n-1) zeta^(-2e) Tr(image of beta), exactly, over the integers."""
-    shift, braided = braided_span(beta)
-    return _from_trace(beta, intspan.t_word_trace(braided, _relabel(beta.letters, shift)))
+    return _word_state(beta)[1]
 
 
 def _relabel(letters, shift: int) -> list[int]:

@@ -32,6 +32,9 @@ from quatbraid.scalar import Scalar
 S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
 MAX_DIMENSION_N = 7  # the largest n subalgebra_dimension supports
+# The most unit rows per `letter` call in `verify_markov`, to bound the temporaries
+# (at n = 5, 16 rows ran faster than 64 and kept one product near 0.25 MB, not 1 MB).
+BLOCK_ROWS = 16
 
 
 def _quad_span(n: int, i: int, coeff: Scalar, signs: tuple[int, int, int, int]) -> AlgebraElement:
@@ -160,12 +163,12 @@ def verify_markov(n: int) -> list[dict]:
     Tr(b (2 s)) = zeta^2 Tr(b T) = 2 z+ Tr(b) and
     Tr(b (2 s^-1)) = zeta^4 (2 Tr(b) - Tr(b T)) = 2 z- Tr(b) both hold exactly
     when Tr(b T) = Tr(b) (`markov-scaling`).  Both sides are linear in b, so the
-    words (unit rows, intspan.BLOCK_ROWS to one `letter` call) stand for the whole sub-strand algebra.
+    words (unit rows, BLOCK_ROWS to one `letter` call) stand for the whole sub-strand algebra.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     sub = range(1 << (n - 2))
-    words, step = [Word(n, e, v).index for e in sub for v in sub], intspan.BLOCK_ROWS
+    words, step = [Word(n, e, v).index for e in sub for v in sub], BLOCK_ROWS
     blocks = [_words(n, words[k:k + step]) for k in range(0, len(words), step)]
 
     def fixed(left: bool) -> bool:
@@ -194,13 +197,14 @@ def subalgebra_dimensions(n_max: int) -> list[int]:
     rank over Q(zeta) as over Q (Gaussian elimination never leaves the field
     of the entries).  So the dimension is the Q-rank of the T-words, which
     `intspan.t_word_ranks` computes through the strand prefixes 2..n_max by an
-    exact sparse elimination over Z in Python ints; the rank after stage n is
-    the dimension for n strands.  Each step of a stage multiplies only the rows W_k the step before
-    added, by the next Hecke coset letter T_c: S_(k+1) = S_k + W_k T_c for the
-    spans S_k after k steps (`intspan._t_word_basis`), exact given B1, B2 and
-    E1.  So every entry of `verify_relations(n_max)` must pass first (the
-    tables on fewer strands are restrictions of these); RuntimeError names any
-    that fails.
+    exact sparse elimination over Z in Python ints, on rows multiplied by
+    T_c term by term with the word sign rule; the rank after stage n is the
+    dimension for n strands.  Each step of a stage multiplies only the rows
+    W_k the step before added, by the next Hecke coset letter T_c:
+    S_(k+1) = S_k + W_k T_c for the spans S_k after k steps
+    (`intspan._t_word_basis`), exact given B1, B2 and E1.  So every entry of
+    `verify_relations(n_max)` must pass first (the tables on fewer strands are
+    restrictions of these); RuntimeError names any that fails.
     """
     if not 2 <= n_max <= MAX_DIMENSION_N:
         raise ValueError(f"supported range is 2 <= n <= {MAX_DIMENSION_N}")

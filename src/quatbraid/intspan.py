@@ -24,9 +24,10 @@ letter of either sign (four terms with signs +-1), and only when the bound
 reaches 2^31 are the common factors 2 divided out and the vector read.
 `_t_word_basis` closes {1} under right multiplication by every T_i through the
 same strand prefixes, one step per Hecke coset letter (exact given B1, B2, E1),
-for the exact Q-rank of all T-words.  Its basis is sparse rows {word: Python
-int}, fully reduced by `_insert` with no bound on the entries; only the
-products are dense, BLOCK_ROWS rows to a `letter` call.
+for the exact Q-rank of all T-words.  It works on sparse rows {word: Python
+int} from start to end, in the n-strand word numbering: `_times_t` multiplies
+a row by T_i term by term with the sign rule `t_action` is built from, and
+`_insert` keeps the basis fully reduced, with no bound on the entries.
 `hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 
@@ -46,10 +47,6 @@ from quatbraid.algebra import index_masks, quad_words, sign_bits, word_count
 
 # entry bound of `letter`: four terms below 2^31 stay far inside int64
 _ENTRY_LIMIT = 1 << 31
-# The most rows one `letter` call multiplies, here and in `hecke.verify_markov`;
-# bounds the batch temporaries (at n = 5, 16 rows ran faster than 64 and kept
-# those of one product near 0.25 MB instead of 1 MB).
-BLOCK_ROWS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,9 +85,9 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
 
     vecs may have any leading shape; the last axis is the word axis.  Callers
     pass one integer vector (`t_word_trace`, the unit row of 1 in
-    `hecke.verify_relations`) or 2-D integer rows (blocks of `t_word_ranks`, the
-    unit rows of `hecke.verify_markov`, the generator-word rows and identity
-    matrix of `image_group`).  The four
+    `hecke.verify_relations`) or 2-D integer rows (the unit rows of
+    `hecke.verify_markov`, the generator-word rows and identity matrix of
+    `image_group`); the tests check the closure's sparse `_times_t` against it.  The four
     terms of `t_action(n, a, left)` are one `take` of the sources along it,
     shape (..., 4^(n-1), 4), and one `np.vecdot` with the signs over their
     contiguous last axis, the same for either sign of a; vecs and the cached
@@ -245,22 +242,21 @@ def _twos(x: int) -> int:
 def t_word_ranks(n: int) -> list[int]:
     """Ranks over Q of the T-words on 1..n strands, in that order, from one span
     closure over Z (`_t_word_basis`)."""
-    return _t_word_basis(n)[2]
+    return _t_word_basis(n)[1]
 
 
-def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], np.ndarray, list[int]]:
+def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], list[int]]:
     """The span of the T-words on n strands as a fully reduced echelon basis over
-    Z, sparse primitive rows keyed by their positive pivots; those pivots in order;
-    and the rank after each stage m = 1..n (the T-words on m strands).
+    Z, sparse primitive rows on the n-strand words keyed by their positive
+    pivots, in the order found; and the rank after each stage m = 1..n.
 
     That form is unique: the pivots are the leading columns of the span, and the
     row of pivot p is its one primitive vector zero at the other pivots and
-    positive at p.  Stage m = 2..n starts from the (m-1)-strand basis with each
-    column (eps, nu) relabelled eps 2^(m-1) | nu, the word of the same masks (as
-    in `_embed`), which keeps the column order and so the full reduction;
-    `t_action(m, a)` restricted to those words is `t_action(m - 1, a)` (see
-    `t_word_state`), so the embedded span H_(m-1) is closed under T_1..T_(m-2).
-    Step 1 multiplies the embedded basis by T_(m-1), and step k only the rows
+    positive at p.  The m-strand words are the n-strand words with no bit at or
+    above m - 1 in eps or nu, in the same (eps, nu) order, and T_c (c < m) keeps
+    them among themselves (see `t_word_state`).  So stage m starts from the
+    (m-1)-strand basis as it is, whose span H_(m-1) is closed under T_1..T_(m-2).
+    Step 1 multiplies the whole basis by T_(m-1), and step k only the rows
     W_(k-1) that step k - 1 added, by T_(m-k).  The span S_k after k steps is
     the sum of H_(m-1) T_(m-1)...T_j over j >= m - k.  The next letter T_c,
     c = m - k - 1, lies in H_(m-1) and commutes (B2) with T_(m-1)..T_(m-k+1),
@@ -272,33 +268,30 @@ def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], np.ndarray, list[i
     the identity word's row is that word alone, every other row has three
     entries, each word index is in one row, so the rank is (4^(n-1) + 2)/3.
     """
-    rows, ranks = {0: {0: 1}}, [1]
+    rows, holders, ranks = {0: {0: 1}}, collections.defaultdict(set, {0: {0}}), [1]
     for m in range(2, n + 1):
-        low = (1 << (m - 2)) - 1  # c + (c & ~low) moves eps up one bit
-        old, rows, holders = rows, {}, collections.defaultdict(set)
-        for row in old.values():
-            _insert(rows, holders, {c + (c & ~low): v for c, v in row.items()})
         frontier = list(rows.values())
         for c in range(m - 1, 0, -1):
-            added = [_insert(rows, holders, vec) for b in range(0, len(frontier), BLOCK_ROWS)
-                     for vec in _letter_rows(frontier[b:b + BLOCK_ROWS], m, c)]
+            added = [_insert(rows, holders, _times_t(row, n, c)) for row in frontier]
             if len(rows) > word_count(m):
                 raise RuntimeError("span closure exceeded the ambient dimension")
             frontier = [rows[p] for p in added if p is not None]
         ranks.append(len(rows))
-    return rows, np.fromiter(rows, dtype=np.intp, count=len(rows)), ranks
+    return rows, ranks
 
 
-def _letter_rows(rows: list[dict[int, int]], m: int, a: int) -> list[dict[int, int]]:
-    """The sparse rows times letter a on m strands: one dense int64 block through
-    `letter`, which holds the 2^31 guard, and one `np.nonzero` back."""
-    block = np.zeros((len(rows), word_count(m)), dtype=np.int64)
-    block[[r for r, row in enumerate(rows) for _ in row], [c for row in rows for c in row]] = [
-        v for row in rows for v in row.values()]
-    block = letter(block, m, a)
-    out, (r, c) = [{} for _ in rows], np.nonzero(block)
-    for i, j, v in zip(r.tolist(), c.tolist(), block[r, c].tolist()):
-        out[i][j] = v
+def _times_t(row: dict[int, int], n: int, c: int) -> dict[int, int]:
+    """The sparse row times T_c on n strands, by the word sign rule: each entry
+    (x, v) and each word t of T_c add +-v at x ^ t, - when `sign_bits` of x times
+    t has odd count, as in `t_action`.  Zero sums stay as entries."""
+    shift, mask = n - 1, (1 << (n - 1)) - 1
+    terms = [(t.index, t.eps, t.nu) for t in quad_words(n, c)]
+    out: dict[int, int] = {}
+    for x, v in row.items():
+        eps, nu = x >> shift, x & mask
+        for t, t_eps, t_nu in terms:
+            y = x ^ t
+            out[y] = out.get(y, 0) + (-v if sign_bits(eps, nu, t_eps, t_nu).bit_count() & 1 else v)
     return out
 
 

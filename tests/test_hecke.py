@@ -24,7 +24,7 @@ from quatbraid.hecke import (
     verify_markov,
     verify_relations,
 )
-from quatbraid.intspan import BLOCK_ROWS, _embed, _insert, _t_word_basis, letter, t_action, t_word_ranks
+from quatbraid.intspan import _embed, _insert, _t_word_basis, _times_t, letter, t_action, t_word_ranks
 from quatbraid.scalar import ONE, Scalar, ZETA, qpow
 
 
@@ -356,21 +356,26 @@ def test_subalgebra_dimensions_require_the_relations_first(monkeypatch):
 
 
 def test_closure_multiplies_at_most_each_stage_rank_of_rows(monkeypatch):
-    # stage m multiplies the embedded basis and then only each step's new rows,
-    # one coset letter per step, T_(m-1) down to T_1
-    rows, letters = {}, {}
-    real = intspan.letter
+    # stage m multiplies the basis it starts from and then only each step's new
+    # rows, one coset letter per step, T_(m-1) down to T_1; every product is on
+    # the n-strand words, and a stage begins where the letter rises
+    stages = []
+    real = intspan._times_t
 
-    def counted(vecs, n, a, *args, **kwargs):
-        rows[n] = rows.get(n, 0) + len(vecs)
-        letters.setdefault(n, []).append(a)
-        return real(vecs, n, a, *args, **kwargs)
+    def counted(row, n, c):
+        assert n == 6
+        if not stages or c > stages[-1][-1]:
+            stages.append([])
+        stages[-1].append(c)
+        return real(row, n, c)
 
-    monkeypatch.setattr(intspan, "letter", counted)
-    ranks = _t_word_basis(6)[2]
-    assert sorted(rows) == list(range(2, 7))
-    assert all(rows[m] <= ranks[m - 1] for m in rows), (rows, ranks)
-    assert all(seq == sorted(seq, reverse=True) and seq[0] == m - 1 for m, seq in letters.items()), letters
+    monkeypatch.setattr(intspan, "_times_t", counted)
+    monkeypatch.setattr(intspan, "letter", lambda *args, **kwargs: pytest.fail("the closure used the dense letter"))
+    ranks = _t_word_basis(6)[1]
+    assert len(stages) == 5
+    for m, seq in enumerate(stages, start=2):
+        assert seq[0] == m - 1 and seq == sorted(seq, reverse=True), (m, seq)
+        assert len(seq) <= ranks[m - 1], (m, len(seq), ranks)
 
 
 def _t_words(n, length):
@@ -384,18 +389,19 @@ def _t_words(n, length):
     level = [{Word.identity(n).index: 1}]
     words = list(level)
     for _ in range(length):
-        nxt = []
-        for element in level:
-            for quad in quads:
-                acc = {}
-                for x, c in element.items():
-                    for t in quad:
-                        sign, y = mul_words(Word.from_index(n, x), t)
-                        acc[y.index] = acc.get(y.index, 0) + sign * c
-                nxt.append(acc)
-        level = nxt
+        level = [_times_words(n, element, quad) for element in level for quad in quads]
         words += level
     return words
+
+
+def _times_words(n, element, quad):
+    """The {word index: coefficient} element times the sum of the words in quad, by mul_words."""
+    acc = {}
+    for x, c in element.items():
+        for t in quad:
+            sign, y = mul_words(Word.from_index(n, x), t)
+            acc[y.index] = acc.get(y.index, 0) + sign * c
+    return acc
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -444,11 +450,14 @@ def _assert_fully_reduced(rows, holders=None):
     assert holders is None or {c: s for c, s in holders.items() if s} == _holders(rows)
 
 
+_BLOCK_ROWS = 16  # rows per dense `letter` call in `_full_space_basis`
+
+
 def _full_space_basis(n):
     """The closure in the full n-strand space, one word length per round from 1.
 
-    Products go through `letter` on dense rows built here, not through the
-    closure's own block conversion.
+    Products go through the dense `letter`, _BLOCK_ROWS rows built here to a
+    call, not through the closure's sparse `_times_t`.
     """
     size = word_count(n)
     rows, holders = _basis()
@@ -456,9 +465,9 @@ def _full_space_basis(n):
     frontier = list(rows.values())
     while frontier:
         added = []
-        for b in range(0, len(frontier), BLOCK_ROWS):
-            block = np.zeros((len(frontier[b:b + BLOCK_ROWS]), size), dtype=np.int64)
-            for r, row in enumerate(frontier[b:b + BLOCK_ROWS]):
+        for b in range(0, len(frontier), _BLOCK_ROWS):
+            block = np.zeros((len(frontier[b:b + _BLOCK_ROWS]), size), dtype=np.int64)
+            for r, row in enumerate(frontier[b:b + _BLOCK_ROWS]):
                 for c, v in row.items():
                     block[r, c] = v
             for i in range(1, n):
@@ -472,13 +481,11 @@ def _full_space_basis(n):
 def test_prefix_basis_equals_the_full_space_closure(n):
     # the fully reduced form with primitive rows and positive pivots is unique,
     # so the prefix stages must give the reference's rows, not just its rank
-    rows, pivots, ranks = _t_word_basis(n)
+    rows, ranks = _t_word_basis(n)
     want, holders = _full_space_basis(n)
     _assert_fully_reduced(rows)
     _assert_fully_reduced(want, holders)
-    assert list(rows) == pivots.tolist()
     assert rows == want
-    assert sorted(pivots.tolist()) == sorted(want)
     assert len(rows) == ranks[-1] == t_word_ranks(n)[-1]
 
 
@@ -487,7 +494,7 @@ def test_basis_shape_finding(n):
     # a finding the closure does not rely on: entries in {-1, 0, 1}, the
     # identity word's row is that word alone, every other row has three
     # entries, and each word index lies in exactly one row
-    rows, pivots, ranks = _t_word_basis(n)
+    rows, ranks = _t_word_basis(n)
     assert {v for row in rows.values() for v in row.values()} <= {-1, 1}
     assert rows[Word.identity(n).index] == {Word.identity(n).index: 1}
     assert all(len(row) == 3 for p, row in rows.items() if p != Word.identity(n).index)
@@ -531,9 +538,30 @@ def test_sparse_insert_matches_sympy(data):
 def test_prefix_basis_keeps_the_pivot_words_of_the_smaller_prefix(n):
     # stage n starts from the (n-1)-strand basis; its old rows keep their pivots,
     # first and in order, at the words of the same (eps, nu)
-    small, big = _t_word_basis(n - 1)[1], _t_word_basis(n)[1]
-    assert [tuple(m.tolist()) for m in index_masks(n, big[:len(small)])] == [
-        tuple(m.tolist()) for m in index_masks(n - 1, small)]
+    small, big = list(_t_word_basis(n - 1)[0]), list(_t_word_basis(n)[0])
+    assert [index_masks(n, p) for p in big[:len(small)]] == [index_masks(n - 1, p) for p in small]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_times_t_matches_the_dense_letter_and_mul_words(data):
+    # the closure's sparse product by T_c, on random sparse rows at every c:
+    # entries below 2^31 against the dense `letter`, and entries past 2^62
+    # against the mul_words product `_t_words` is built from
+    n = data.draw(st.integers(2, 6), label="n")
+    c = data.draw(st.integers(1, n - 1), label="c")
+    big = data.draw(st.booleans(), label="past 2^62")
+    bound = 1 << 70 if big else (1 << 31) - 1
+    entry = st.integers(-bound, bound).filter(lambda v: not big or abs(v) > 1 << 62)
+    row = data.draw(st.dictionaries(st.integers(0, word_count(n) - 1), entry, max_size=8), label="row")
+    got = {y: v for y, v in _times_t(row, n, c).items() if v}
+    if big:
+        want = _times_words(n, row, quad_words(n, c))
+    else:
+        dense = np.zeros(word_count(n), dtype=np.int64)
+        dense[list(row)] = list(row.values())
+        want = dict(enumerate(letter(dense, n, c).tolist()))
+    assert got == {y: v for y, v in want.items() if v}
 
 
 def test_embed_keeps_the_word_masks():
