@@ -31,7 +31,7 @@ from quatbraid.scalar import Scalar
 # S_COEFF = -1/(2 zeta) = (zeta - 1)/2 and _SINV_COEFF = -zeta/2
 S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
-MAX_DIMENSION_N = 7  # the largest n subalgebra_dimension supports
+MAX_DIMENSION_N = 8  # the largest n subalgebra_dimension supports
 # The most unit rows per `letter` call in `verify_markov`, to bound the temporaries
 # (at n = 5, 16 rows ran faster than 64 and kept one product near 0.25 MB, not 1 MB).
 BLOCK_ROWS = 16
@@ -105,8 +105,8 @@ def verify_relations(n: int) -> list[dict]:
         while letters[:known] not in products:
             known -= 1
         vec = products[letters[:known]]
-        for j in range(known, len(letters)):
-            vec = products[letters[:j + 1]] = intspan.letter(vec, n, letters[j])
+        for j in range(known, len(letters)):  # 1 times j letters is at most 4^j
+            vec = products[letters[:j + 1]] = intspan.letter(vec, n, letters[j], bound=4**j)
         return vec
 
     gens, far = range(1, n), [(i, j) for i in range(1, n) for j in range(i + 2, n)]
@@ -172,7 +172,7 @@ def verify_markov(n: int) -> list[dict]:
     blocks = [_words(n, words[k:k + step]) for k in range(0, len(words), step)]
 
     def fixed(left: bool) -> bool:
-        return all(np.array_equal(intspan.letter(rows, n, n - 1, left)[:, 0], rows[:, 0]) for rows in blocks)
+        return all(np.array_equal(intspan.letter(rows, n, n - 1, left, bound=1)[:, 0], rows[:, 0]) for rows in blocks)
 
     return [_entry("markov-span", [len(words)], fixed(True)), _entry("markov-scaling", ["z+", "z-"], fixed(False))]
 

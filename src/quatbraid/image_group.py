@@ -99,7 +99,7 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     """
     base = _generator_words(n)
     rows = (np.arange(word_count(n)) == base[:, None]).astype(np.int64)
-    conj = letter(letter(rows, n, i), n, -i, left=True)
+    conj = letter(letter(rows, n, i, bound=1), n, -i, left=True, bound=4)
     coeff = conj.sum(axis=1)
     bad = (np.count_nonzero(conj, axis=1) != 1) | (np.abs(coeff) != 4)
     if bad.any():
@@ -348,7 +348,7 @@ def order_formula_estimate(n: int) -> int:
 
 def left_regular_matrix(i: int, n: int) -> list[list[int]]:
     """Integer matrix of left multiplication by T_i on the word basis; s_i = S_COEFF T_i."""
-    return letter(np.eye(word_count(n), dtype=np.int64), n, i, left=True).T.tolist()
+    return letter(np.eye(word_count(n), dtype=np.int64), n, i, left=True, bound=1).T.tolist()
 
 
 def left_regular_determinant(i: int, n: int) -> Scalar:

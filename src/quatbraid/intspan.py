@@ -26,8 +26,9 @@ reaches 2^31 are the common factors 2 divided out and the vector read.
 same strand prefixes, one step per Hecke coset letter (exact given B1, B2, E1),
 for the exact Q-rank of all T-words.  It works on sparse rows {word: Python
 int} from start to end, in the n-strand word numbering: `_times_t` multiplies
-a row by T_i term by term with the sign rule `t_action` is built from, and
-`_insert` keeps the basis fully reduced, with no bound on the entries.
+a row by T_i term by term, each term's sign read off one bit mask per term
+(`_sign_masks`, from the sign rule `t_action` is built from), and `_insert`
+keeps the basis fully reduced, with no bound on the entries.
 `hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 
@@ -96,7 +97,10 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     Raises OverflowError when an entry of vecs reaches 2^31, so no product wraps int64.
     vecs is read for that check unless bound, a proven upper bound on max|vecs|
     the caller carries, is below 2^31.  The result is at most 4 bound for
-    either sign (four terms with signs +-1).
+    either sign (four terms with signs +-1).  Every caller passes one:
+    `t_word_state` its state's, `hecke.verify_relations` 4^j on the unit row
+    times j letters, and the unit-row callers (`hecke.verify_markov`,
+    `image_group`) 1, or 4 after one letter.
     """
     if bound is None or bound >= _ENTRY_LIMIT:
         _check(_magnitude(vecs))
@@ -116,9 +120,11 @@ def _magnitude(*arrays: np.ndarray) -> int:
 
 def _subtract(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
     """a set to (b[p] a - a[p] b) / gcd(a[p], b[p]), zero at column p, in place; zeros stay as entries."""
-    g = math.gcd(a[p], b[p])
-    x, y = b[p] // g, a[p] // g
-    if x != 1:
+    if b[p] == 1:  # the usual case: the rows are primitive with positive pivots
+        y = a[p]
+    else:
+        g = math.gcd(a[p], b[p])
+        x, y = b[p] // g, a[p] // g
         for c in a:
             a[c] *= x
     for c, v in b.items():
@@ -127,8 +133,7 @@ def _subtract(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
 
 
 def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
-    """The nonzero entries of row divided by their gcd, signed so that row[pivot] > 0."""
-    row = {c: v for c, v in row.items() if v}
+    """row, which has no zero entries, divided by the gcd of its entries and signed so that row[pivot] > 0."""
     g = math.gcd(*row.values()) * (1 if row[pivot] > 0 else -1)
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
@@ -143,15 +148,19 @@ def _insert(rows: dict[int, dict[int, int]], holders: dict[int, set[int]], vec: 
     """
     for p in [c for c in vec if c in rows]:
         _subtract(vec, rows[p], p)
-    q = min((c for c, v in vec.items() if v), default=None)
-    if q is None:
+    vec = {c: v for c, v in vec.items() if v}
+    if not vec:
         return None
+    q = min(vec)
     vec = _primitive(vec, q)
     for p in list(holders[q]):
-        old = rows[p]
-        rows[p] = new = _primitive(_subtract(dict(old), vec, q), p)
+        new = _subtract(dict(rows[p]), vec, q)
+        rows[p] = new = _primitive({c: v for c, v in new.items() if v}, p)
         for c in vec:
-            (holders[c].add if c in new else holders[c].discard)(p)
+            if c in new:
+                holders[c].add(p)
+            else:
+                holders[c].discard(p)
     rows[q] = vec
     for c in vec:
         holders[c].add(q)
@@ -282,17 +291,27 @@ def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], list[int]]:
 
 def _times_t(row: dict[int, int], n: int, c: int) -> dict[int, int]:
     """The sparse row times T_c on n strands, by the word sign rule: each entry
-    (x, v) and each word t of T_c add +-v at x ^ t, - when `sign_bits` of x times
-    t has odd count, as in `t_action`.  Zero sums stay as entries."""
-    shift, mask = n - 1, (1 << (n - 1)) - 1
-    terms = [(t.index, t.eps, t.nu) for t in quad_words(n, c)]
+    (x, v) and each word t of T_c add +-v at x ^ t, - when x & odd has odd
+    count, odd the sign mask of t (`_sign_masks`).  Zero sums stay as entries."""
+    terms = _sign_masks(n, c)
     out: dict[int, int] = {}
     for x, v in row.items():
-        eps, nu = x >> shift, x & mask
-        for t, t_eps, t_nu in terms:
+        for t, odd in terms:
             y = x ^ t
-            out[y] = out.get(y, 0) + (-v if sign_bits(eps, nu, t_eps, t_nu).bit_count() & 1 else v)
+            out[y] = out.get(y, 0) + (-v if (x & odd).bit_count() & 1 else v)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_masks(n: int, c: int) -> tuple[tuple[int, int], ...]:
+    """(t, odd) for each word index t of T_c on n strands: word x times word t
+    has sign -1 exactly when (x & odd).bit_count() is odd.  `sign_bits(eps, nu,
+    t.eps, t.nu)` is the first word's masks ANDed bitwise with masks of t alone,
+    eps & E ^ nu & V with E = sign_bits(full, 0, ...) and V = sign_bits(0, full,
+    ...), full = 2^(n-1) - 1; odd places E and V as the index places eps and nu."""
+    full = (1 << (n - 1)) - 1
+    return tuple((t.index, sign_bits(full, 0, t.eps, t.nu) << (n - 1) | sign_bits(0, full, t.eps, t.nu))
+                 for t in quad_words(n, c))
 
 
 def exact_determinant(mat: list[list[int]]) -> int:

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from quatbraid import braids, cli as cli_module, diagrams, intspan, linktable
+from quatbraid import braids, cli as cli_module, diagrams, hecke, intspan, linktable
 from quatbraid.algebra import AlgebraElement
 from quatbraid.braids import BraidWord, evaluate, markov_move_test, random_braid
 from quatbraid.cli import cli, run_suite
@@ -81,7 +81,7 @@ def test_invariant_bad_letter(runner):
 @pytest.mark.parametrize(
     "args",
     [
-        ["dim", "--n", "8"],
+        ["dim", "--n", "9"],
         ["dim", "--n", "1"],
         ["center", "--n", "1"],
         ["center", "--n", "4097"],
@@ -103,11 +103,11 @@ def test_invariant_bad_letter(runner):
         ["cover-dim", "--seifert", {"json": '{"rows": [[1]]}'}],
         ["cover-dim", "--seifert", {"json": '"abc"'}],
         ["suite", "--group-n-max", "6", "--dim-n-max", "2", "--markov-braids", "0"],
-        ["suite", "--dim-n-max", "8", "--group-n-max", "2", "--markov-braids", "0"],
+        ["suite", "--dim-n-max", "9", "--group-n-max", "2", "--markov-braids", "0"],
         ["suite", "--markov-braids", "-3", "--group-n-max", "2", "--dim-n-max", "2"],
         ["suite", "--max", "-5", "--group-n-max", "2", "--dim-n-max", "2", "--markov-braids", "0"],
         ["suite", "--config", {"json": '{"group_n_max": 6, "dim_n_max": 2, "markov_braids": 0}'}],
-        ["suite", "--config", {"json": '{"dim_n_max": 8, "group_n_max": 2, "markov_braids": 0}'}],
+        ["suite", "--config", {"json": '{"dim_n_max": 9, "group_n_max": 2, "markov_braids": 0}'}],
         ["suite", "--config", {"json": '{"markov_braids": -3, "group_n_max": 2, "dim_n_max": 2}'}],
         ["suite", "--config", {"json": '{"relation_n_max": 2}'}],
         ["suite", "--config", {"json": '{"relation_n_max": 9}'}],
@@ -327,7 +327,7 @@ def test_bad_suite_config_is_one_line_error(runner, tmp_path, config, message):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"group_n_max": 6}, {"dim_n_max": 8}, {"markov_braids": -3}, {"max_group_elements": 0},
+    [{"group_n_max": 6}, {"dim_n_max": 9}, {"markov_braids": -3}, {"max_group_elements": 0},
      {"relation_n_max": 2}, {"relation_n_max": 9}, {"dim_n_max": 1}, {"group_n_max": 1}],
     ids=["group-n-max", "dim-n-max", "negative-markov-braids", "zero-group-cap", "relation-n-max",
          "relation-n-max-above-8", "dim-n-max-below-2", "group-n-max-below-2"],
@@ -410,6 +410,15 @@ def test_run_suite_closes_the_span_once(monkeypatch):
     assert calls == [5]
     assert [c["name"] for c in checks] == [f"dimension[n={n}]" for n in range(2, 6)]
     assert [c["actual"] for c in checks] == [c["expected"] for c in checks] == [2, 6, 22, 86]
+
+
+def test_run_suite_checks_the_dimension_up_to_the_cap():
+    # the path counts reach as many levels as the closure: n = 8 is past the 7
+    # levels bratteli-node-counts reads
+    report = run_suite(relation_n_max=3, dim_n_max=hecke.MAX_DIMENSION_N, group_n_max=2, markov_braids=0)
+    checks = [c for c in report["checks"] if c["name"].startswith("dimension[")]
+    assert report["pass"] and hecke.MAX_DIMENSION_N == 8
+    assert [c["actual"] for c in checks] == [c["expected"] for c in checks] == [2, 6, 22, 86, 342, 1366, 5462]
 
 
 def test_run_suite_builds_each_conjugation_table_once():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatbraid import hecke, image_group, intspan
-from quatbraid.algebra import AlgebraElement, Word, index_masks, mul_words, quad_words, word_count
+from quatbraid.algebra import AlgebraElement, Word, index_masks, mul_words, quad_words, sign_bits, word_count
 from quatbraid.braids import BraidWord, invariant, markov_move_test, random_braid
 from quatbraid.diagrams import hecke_dimension
 from quatbraid.hecke import (
@@ -564,6 +564,43 @@ def test_times_t_matches_the_dense_letter_and_mul_words(data):
     assert got == {y: v for y, v in want.items() if v}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sign_masks_equal_the_sign_rule(n):
+    # `_times_t` reads the sign of word x times term t of T_c off one mask per
+    # term: the parity of x & odd must be that of `sign_bits` for every x
+    for c in range(1, n):
+        masks = intspan._sign_masks(n, c)
+        assert [t for t, _ in masks] == [w.index for w in quad_words(n, c)]
+        for (_, odd), w in zip(masks, quad_words(n, c)):
+            for x in range(word_count(n)):
+                eps, nu = index_masks(n, x)
+                assert (x & odd).bit_count() & 1 == sign_bits(eps, nu, w.eps, w.nu).bit_count() & 1, (n, c, w, x)
+
+
+def test_every_bound_given_to_letter_is_proven(monkeypatch):
+    # a caller that passes a bound skips `letter`'s read of every entry, so the
+    # bound must hold on every call and stay below the 2^31 guard
+    real = intspan.letter
+
+    def checked(vecs, n, a, left=False, *, bound=None):
+        assert bound is not None and int(np.abs(vecs).max()) <= bound < 1 << 31, (n, a, left, bound)
+        return real(vecs, n, a, left, bound=bound)
+
+    monkeypatch.setattr(intspan, "letter", checked)
+    monkeypatch.setattr(image_group, "letter", checked)
+    image_group.conjugation_action.cache_clear()
+    for n in range(2, 9):
+        verify_relations(n)
+    for n in range(3, 9):
+        verify_markov(n)
+    for n in range(2, 7):
+        for i in range(1, n):
+            image_group.conjugation_action(i, n)
+    for n in range(2, 5):
+        for i in range(1, n):
+            image_group.left_regular_matrix(i, n)
+
+
 def test_embed_keeps_the_word_masks():
     rng = np.random.default_rng(7)
     for m, n in ((1, 3), (2, 2), (2, 4), (3, 5)):
@@ -907,7 +944,7 @@ def test_subalgebra_dimension_range_check():
     with pytest.raises(ValueError):
         subalgebra_dimension(1)
     with pytest.raises(ValueError):
-        subalgebra_dimension(8)
-    for n_max in (1, 8):
+        subalgebra_dimension(9)
+    for n_max in (1, 9):
         with pytest.raises(ValueError):
             subalgebra_dimensions(n_max)
