@@ -9,9 +9,9 @@ reference.  Every check is an integer identity of T_i and 2 - T_i, the letters
 +i and -i of `intspan.letter`, on integer unit rows; no check holds a Z[zeta]
 vector.  The braid, quadratic and idempotent relations, each times a constant,
 have 1- and zeta-parts that are such identities on the unit row of 1 (derived
-at `verify_relations`).  The Markov property reduces to
-Tr(T_{n-1} b) = Tr(b) = Tr(b T_{n-1}) on the words b of the first n-2
-positions (derived at `verify_markov`).
+at `verify_relations`).  The Markov property reduces to Tr(T_{n-1} b) = Tr(b)
+= Tr(b T_{n-1}) on the words b of the first n-2 positions, read off row 0 of
+the T_{n-1} tables (derived at `verify_markov`).
 The dimension of the subalgebra the s_i generate comes from exact span
 closure over the integers: the Q(zeta)-dimension of a span of rational
 vectors is their Q-rank.  The s_1 conjugation check reads `image_group`'s table.
@@ -32,9 +32,6 @@ from quatbraid.scalar import Scalar
 S_COEFF = Scalar.of(Fraction(-1, 2), Fraction(1, 2))
 _SINV_COEFF = Scalar.of(0, Fraction(-1, 2))
 MAX_DIMENSION_N = 8  # the largest n subalgebra_dimension supports
-# The most unit rows per `letter` call in `verify_markov`, to bound the temporaries
-# (at n = 5, 16 rows ran faster than 64 and kept one product near 0.25 MB, not 1 MB).
-BLOCK_ROWS = 16
 
 
 def _quad_span(n: int, i: int, coeff: Scalar, signs: tuple[int, int, int, int]) -> AlgebraElement:
@@ -55,13 +52,6 @@ def braid_generator_inverse(n: int, i: int) -> AlgebraElement:
 
 
 # --- the checks, as integer identities of T_i on unit rows ----------------------
-
-def _words(n: int, indices: list[int]) -> np.ndarray:
-    """The unit rows of the basis words at indices, shape (len(indices), 4^(n-1))."""
-    rows = np.zeros((len(indices), word_count(n)), dtype=np.int64)
-    rows[np.arange(len(indices)), indices] = 1
-    return rows
-
 
 def _entry(relation: str, indices, ok) -> dict:
     return {"relation": relation, "indices": list(indices), "pass": bool(ok)}
@@ -97,7 +87,8 @@ def verify_relations(n: int) -> list[dict]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    one = _words(n, [0])[0]
+    one = np.zeros(word_count(n), dtype=np.int64)
+    one[0] = 1
     products = {(): one}  # 1 times each word computed so far, left to right
 
     def prod(*letters):  # from the longest computed prefix, one letter at a time
@@ -163,16 +154,21 @@ def verify_markov(n: int) -> list[dict]:
     Tr(b (2 s)) = zeta^2 Tr(b T) = 2 z+ Tr(b) and
     Tr(b (2 s^-1)) = zeta^4 (2 Tr(b) - Tr(b T)) = 2 z- Tr(b) both hold exactly
     when Tr(b T) = Tr(b) (`markov-scaling`).  Both sides are linear in b, so the
-    words (unit rows, BLOCK_ROWS to one `letter` call) stand for the whole sub-strand algebra.
+    words b = eps 2^(n-1) + nu, eps, nu < 2^(n-2), stand for the sub-strand algebra.
+    Row 0 is the whole computation: only the row of target 0 reaches the trace, so
+    Tr(b T) = sum_k signs[0, k] [sources[0, k] = b] on the right `intspan.t_action`
+    table (Tr(T b) on the left one), one scatter for every b at once.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    sub = range(1 << (n - 2))
-    words, step = [Word(n, e, v).index for e in sub for v in sub], BLOCK_ROWS
-    blocks = [_words(n, words[k:k + step]) for k in range(0, len(words), step)]
+    sub = np.arange(1 << (n - 2))
+    words = ((sub[:, None] << (n - 1)) | sub).ravel()
 
     def fixed(left: bool) -> bool:
-        return all(np.array_equal(intspan.letter(rows, n, n - 1, left, bound=1)[:, 0], rows[:, 0]) for rows in blocks)
+        sources, signs = intspan.t_action(n, n - 1, left)
+        trace = np.zeros(word_count(n), dtype=np.int64)
+        np.add.at(trace, sources[0], signs[0])
+        return np.array_equal(trace[words], words == 0)
 
     return [_entry("markov-span", [len(words)], fixed(True)), _entry("markov-scaling", ["z+", "z-"], fixed(False))]
 

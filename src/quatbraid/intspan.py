@@ -2,11 +2,11 @@
 
 T_i = 1 + u_i + v_i + u_i v_i has integer coefficients on the word basis, and
 multiplication by it on either side is a sum of four signed permutations of
-the 4^(n-1) word indices (`t_action`, built on whole index arrays by the word
-algebra's sign rule).  s_i = (zeta^2/2) T_i and s_i^-1 = (zeta^4/2)(2 - T_i),
-so braid letter +i acts on integer vectors as T_i and -i as
-2 - T_i = 1 - u_i - v_i - u_i v_i: the same four sources with the three
-non-identity signs negated.  The tables are word-major, one row of four
+the 4^(n-1) word indices (`t_action`, expanded from the sign masks of the
+word algebra's sign rule, `_sign_masks`).  s_i = (zeta^2/2) T_i and
+s_i^-1 = (zeta^4/2)(2 - T_i), so braid letter +i acts on integer vectors as
+T_i and -i as 2 - T_i = 1 - u_i - v_i - u_i v_i: the same four sources with
+the three non-identity signs negated.  The tables are word-major, one row of four
 (source, sign) pairs per target word.  `letter`, the one integer form of a
 letter of either sign, applies its table as one `take` along the word axis and
 one `np.vecdot` over the four terms, for any leading shape, and holds the 2^31
@@ -26,8 +26,8 @@ reaches 2^31 are the common factors 2 divided out and the vector read.
 same strand prefixes, one step per Hecke coset letter (exact given B1, B2, E1),
 for the exact Q-rank of all T-words.  It works on sparse rows {word: Python
 int} from start to end, in the n-strand word numbering: `_times_t` multiplies
-a row by T_i term by term, each term's sign read off one bit mask per term
-(`_sign_masks`, from the sign rule `t_action` is built from), and `_insert`
+a row by T_i term by term, signs read off the masks the tables are expanded
+from (so the relation check of the tables vouches for them), and `_insert`
 keeps the basis fully reduced, with no bound on the entries.
 `hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from quatbraid.algebra import index_masks, quad_words, sign_bits, word_count
+from quatbraid.algebra import Word, index_masks, quad_words, sign_bits, word_count
 
 # entry bound of `letter`: four terms below 2^31 stay far inside int64
 _ENTRY_LIMIT = 1 << 31
@@ -59,8 +59,9 @@ def t_action(n: int, a: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
     (4^(n-1), 4), word-major: (vec T)[y] = sum_k signs[y, k] * vec[sources[y, k]]
     on word indices, or (T vec)[y] when left is true, so the four terms of a
     target word are adjacent.  A product XORs indices, so the k-th word t sends
-    source y ^ t.index to y.  Letter -i shares the sources array of +i; its
-    signs are those of +i with columns u_i, v_i, u_i v_i negated.
+    source y ^ t to y with sign (-1)^popcount(source & odd), (t, odd) the k-th
+    of `_sign_masks(n, i, left)`.  Letter -i shares the sources array of +i;
+    its signs are those of +i with columns u_i, v_i, u_i v_i negated.
     """
     i = abs(a)
     if not 1 <= i <= n - 1:
@@ -69,11 +70,9 @@ def t_action(n: int, a: int, left: bool = False) -> tuple[np.ndarray, np.ndarray
         sources, signs = t_action(n, i, left)
         signs = signs * np.array([1, -1, -1, -1])
     else:
-        quad = np.array([t.index for t in quad_words(n, i)])
+        quad, odd = np.array(_sign_masks(n, i, left)).T
         sources = np.arange(word_count(n))[:, None] ^ quad
-        (eps, nu), (t_eps, t_nu) = index_masks(n, sources), index_masks(n, quad)
-        odd = sign_bits(t_eps, t_nu, eps, nu) if left else sign_bits(eps, nu, t_eps, t_nu)
-        signs = np.where(np.bitwise_count(odd) & 1, -1, 1)
+        signs = np.where(np.bitwise_count(sources & odd) & 1, -1, 1)
     # every caller shares the cached arrays
     sources.flags.writeable = signs.flags.writeable = False
     return sources, signs
@@ -86,9 +85,9 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
 
     vecs may have any leading shape; the last axis is the word axis.  Callers
     pass one integer vector (`t_word_trace`, the unit row of 1 in
-    `hecke.verify_relations`) or 2-D integer rows (the unit rows of
-    `hecke.verify_markov`, the generator-word rows and identity matrix of
-    `image_group`); the tests check the closure's sparse `_times_t` against it.  The four
+    `hecke.verify_relations`) or 2-D integer rows (the generator-word rows and
+    identity matrix of `image_group`); the tests check the closure's sparse
+    `_times_t` against it.  The four
     terms of `t_action(n, a, left)` are one `take` of the sources along it,
     shape (..., 4^(n-1), 4), and one `np.vecdot` with the signs over their
     contiguous last axis, the same for either sign of a; vecs and the cached
@@ -99,8 +98,7 @@ def letter(vecs: np.ndarray, n: int, a: int, left: bool = False, *, bound: int |
     the caller carries, is below 2^31.  The result is at most 4 bound for
     either sign (four terms with signs +-1).  Every caller passes one:
     `t_word_state` its state's, `hecke.verify_relations` 4^j on the unit row
-    times j letters, and the unit-row callers (`hecke.verify_markov`,
-    `image_group`) 1, or 4 after one letter.
+    times j letters, and `image_group` 1 on its unit rows, or 4 after one letter.
     """
     if bound is None or bound >= _ENTRY_LIMIT:
         _check(_magnitude(vecs))
@@ -303,15 +301,18 @@ def _times_t(row: dict[int, int], n: int, c: int) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_masks(n: int, c: int) -> tuple[tuple[int, int], ...]:
-    """(t, odd) for each word index t of T_c on n strands: word x times word t
-    has sign -1 exactly when (x & odd).bit_count() is odd.  `sign_bits(eps, nu,
-    t.eps, t.nu)` is the first word's masks ANDed bitwise with masks of t alone,
-    eps & E ^ nu & V with E = sign_bits(full, 0, ...) and V = sign_bits(0, full,
-    ...), full = 2^(n-1) - 1; odd places E and V as the index places eps and nu."""
-    full = (1 << (n - 1)) - 1
-    return tuple((t.index, sign_bits(full, 0, t.eps, t.nu) << (n - 1) | sign_bits(0, full, t.eps, t.nu))
-                 for t in quad_words(n, c))
+def _sign_masks(n: int, c: int, left: bool = False) -> tuple[tuple[int, int], ...]:
+    """(t, odd) for each word index t of T_c on n strands: word x times word t (t
+    times x when left is true) has sign -1 exactly when (x & odd).bit_count() is
+    odd.  The one place the term signs are read off the sign rule, for `t_action`
+    and `_times_t`: the parity of `sign_bits` is bilinear over GF(2) in the index
+    bits of its two words, so bit j of odd is that parity with x = 2^j."""
+    def odd(t: Word) -> int:
+        bits = (sign_bits(t.eps, t.nu, *x) if left else sign_bits(*x, t.eps, t.nu)
+                for x in (index_masks(n, 1 << j) for j in range(2 * n - 2)))
+        return sum((b.bit_count() & 1) << j for j, b in enumerate(bits))
+
+    return tuple((t.index, odd(t)) for t in quad_words(n, c))
 
 
 def exact_determinant(mat: list[list[int]]) -> int:

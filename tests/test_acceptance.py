@@ -65,13 +65,13 @@ def test_02_generator_cubes():
 
 
 def test_03_markov_trace_and_eta():
-    for n in (3, 4, 5):
+    for n in range(3, 9):
         rep = verify_markov(n)
         assert all(e["pass"] for e in rep), (n, rep)
     from fractions import Fraction
 
     assert eta(3, 6) == Scalar.of(Fraction(1, 2))
-    _report("3 Markov trace on spanning sets n=3..5; eta(3,6) = 1/2")
+    _report("3 Markov trace on spanning sets n=3..8; eta(3,6) = 1/2")
 
 
 def test_04_dimension_match_both_routes():

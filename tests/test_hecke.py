@@ -115,7 +115,7 @@ def test_idempotent_trace_product():
     assert f1.trace() == HALF
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_markov(n):
     report = verify_markov(n)
     assert all(e["pass"] for e in report), report
@@ -290,19 +290,27 @@ def test_markov_statement_holds_in_q_zeta(n):
 
 @pytest.mark.parametrize("left, relation", [(False, "markov-scaling"), (True, "markov-span")])
 def test_flipped_table_sign_fails_a_markov_identity(monkeypatch, left, relation):
-    # the identity-term sign at word 0 of a T_3 table at n = 4 is the one entry
-    # of that table that reaches the trace; flipping it fails its side's identity only
+    # row 0 of a T_3 table at n = 4 is the one row that reaches the trace: flipping
+    # its identity-term sign, or pointing its u_3 term's source at the sub-word
+    # v_1, fails that side's identity only
     real = intspan.t_action
 
-    def flipped(n, i, side=False):
-        sources, signs = real(n, i, side)
-        if (n, i, side) == (4, 3, left):
-            signs = signs.copy()
-            signs[0, 0] *= -1
-        return sources, signs
+    def flip_sign(sources, signs):
+        signs[0, 0] *= -1
 
-    monkeypatch.setattr(intspan, "t_action", flipped)
-    assert [e["relation"] for e in verify_markov(4) if not e["pass"]] == [relation]
+    def move_source(sources, signs):
+        sources[0, 1] = Word(4, 0, 1).index
+
+    for change in (flip_sign, move_source):
+        def changed(n, i, side=False, change=change):
+            sources, signs = real(n, i, side)
+            if (n, i, side) == (4, 3, left):
+                sources, signs = sources.copy(), signs.copy()
+                change(sources, signs)
+            return sources, signs
+
+        monkeypatch.setattr(intspan, "t_action", changed)
+        assert [e["relation"] for e in verify_markov(4) if not e["pass"]] == [relation], change.__name__
 
 
 def test_markov_scaling_constants():
@@ -566,15 +574,18 @@ def test_times_t_matches_the_dense_letter_and_mul_words(data):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sign_masks_equal_the_sign_rule(n):
-    # `_times_t` reads the sign of word x times term t of T_c off one mask per
-    # term: the parity of x & odd must be that of `sign_bits` for every x
-    for c in range(1, n):
-        masks = intspan._sign_masks(n, c)
-        assert [t for t, _ in masks] == [w.index for w in quad_words(n, c)]
-        for (_, odd), w in zip(masks, quad_words(n, c)):
-            for x in range(word_count(n)):
-                eps, nu = index_masks(n, x)
-                assert (x & odd).bit_count() & 1 == sign_bits(eps, nu, w.eps, w.nu).bit_count() & 1, (n, c, w, x)
+    # `_times_t` and `t_action` read the sign of word x times term t of T_c (t times
+    # x on the left side) off one mask per term: the parity of x & odd must be that
+    # of `sign_bits` for every x, on both sides
+    for left in (False, True):
+        for c in range(1, n):
+            masks = intspan._sign_masks(n, c, left)
+            assert [t for t, _ in masks] == [w.index for w in quad_words(n, c)]
+            for (_, odd), w in zip(masks, quad_words(n, c)):
+                for x in range(word_count(n)):
+                    eps, nu = index_masks(n, x)
+                    rule = sign_bits(w.eps, w.nu, eps, nu) if left else sign_bits(eps, nu, w.eps, w.nu)
+                    assert (x & odd).bit_count() & 1 == rule.bit_count() & 1, (n, c, left, w, x)
 
 
 def test_every_bound_given_to_letter_is_proven(monkeypatch):
@@ -591,8 +602,6 @@ def test_every_bound_given_to_letter_is_proven(monkeypatch):
     image_group.conjugation_action.cache_clear()
     for n in range(2, 9):
         verify_relations(n)
-    for n in range(3, 9):
-        verify_markov(n)
     for n in range(2, 7):
         for i in range(1, n):
             image_group.conjugation_action(i, n)
