@@ -27,17 +27,44 @@ A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
 for n <= MAX_N = 5 the targets of a key, padded to 8 codes with code 0 (word
 0 is 1, fixed by every table), are the 8 bytes of one uint64 and its signs
 those of a second; the tables' gathers write those bytes straight into the
-buffers a level step sorts.  New elements are found by one value sort of
-the words (low 32 bits of the targets) << 32 | position: the low half holds
-the targets of key codes 0..3 (u_1..u_4 at n = 5; u_1..u_3, v_1 at n = 4;
-the whole key at n <= 3), and the position breaks ties, so each run of equal
-low halves starts with its first copy, which is kept.  A level is thus in
-low-half order.  Every pair of rows the sort merges must agree in its whole
-target word, else RuntimeError says the low halves collided, and in its sign
-word, else the pair is an element that changes signs only, a nontrivial
-sign kernel, and RuntimeError says so.  So the result is that of
-comparing whole signed codes; the low halves of the 3, 12, 648 and 77,760
-elements at n = 2..5 are distinct (the low 24 bits would not be).
+buffers a level step sorts.
+
+A level step gathers a row only through the tables that can reach a new
+element.  Each new row keeps a mask of the tables whose candidates merged
+into it, and the next step skips, for each table t in that mask, every
+inverse of t (t^-1 of the row is a row of the level before) and t itself
+when t.t undoes t (t of t(p) is t^-1(p), p in the level before, so it lies
+no further out than the row).  So each skipped candidate equals, as a
+signed element, a row already kept.  Every back edge is skipped: if table
+u takes row k of level L+1 to q in level L, then the table t = u^-1 takes q
+to k, and t is not skipped at q (an inverse of a table in q's mask would
+make k = t(q) a row of level L-1, and t itself of order 3 would put k no
+further out than L), so t's candidate merged into k and u is in k's skip
+set.  The candidates of a step thus land in its own level or the next, and
+new elements are told apart from the current level alone.  The steps
+gather 2, 20, 1,650 and 292,108 candidate rows at n = 2..5, against
+2(n-1) per element (6, 48, 3,888 and 622,080) with no skipping.
+
+New elements are found by one value sort of the words (low 32 bits of the
+targets) << 32 | position: the low half holds the targets of key codes
+0..3 (u_1..u_4 at n = 5; u_1..u_3, v_1 at n = 4; the whole key at n <= 3),
+and the position breaks ties, so each run of equal low halves starts with
+its first copy, which is kept.  A level is thus in low-half order.  Every
+pair of rows the sort merges must agree in its whole target word, else
+RuntimeError says the low halves collided, and in its sign word, else the
+pair is an element that changes signs only, a nontrivial sign kernel, and
+RuntimeError says so.  So the result is that of comparing whole signed
+codes: a skipped comparison is with a row it equals, and would pass.  A
+sign kernel still raises.  A table takes rows with equal targets but other
+signs, sign twins, to sign twins, since the target of a code after a table
+depends on its target alone.  Of the twin pairs with the least sum of
+levels, take one whose levels differ least: were they two or more apart,
+the table that takes the outer twin one level in would take the inner one
+at most one level out, to a twin pair with no larger sum and closer levels.
+So the pair lies in one level or two adjacent ones, and the step that finds
+the outer twin merges it with the inner one.  The low halves of the 3, 12,
+648 and 77,760 elements at n = 2..5 are distinct (the low 24 bits would not
+be).
 
 The conjugation action and the left-regular matrices both come from the
 integer letters T_i and 2 - T_i of `intspan.letter`; the action applies them to
@@ -54,7 +81,7 @@ from typing import Iterator
 
 import numpy as np
 
-from quatbraid.algebra import Word, center, index_masks, sign_bits, word_count
+from quatbraid.algebra import Word, _central_masks, index_masks, sign_bits, word_count
 from quatbraid.hecke import S_COEFF
 from quatbraid.intspan import exact_determinant, letter
 from quatbraid.scalar import Scalar
@@ -166,10 +193,11 @@ def _mul_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return ((ta ^ tb) << 1) | ((a ^ b ^ odd) & 1)
 
 
-def _new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.ndarray:
+def _new_rows(targets: np.ndarray, signs: np.ndarray, gens: np.ndarray, known: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions, counted from `known`, of the first copy of each row of
     targets[known:] that equals no row of targets[:known], in the order of the
-    low 32 bits of their targets.
+    low 32 bits of their targets, and the mask of each: the OR of the bits
+    1 << gens[p] of every row known + p that equals it.
 
     Rows are told apart by that low half alone: one sort of the words
     (low half << 32) | position (a level step has far fewer than 2^32 rows)
@@ -183,16 +211,52 @@ def _new_rows(targets: np.ndarray, signs: np.ndarray, known: int) -> np.ndarray:
     order = key.view(np.int64) & 0xFFFFFFFF
     key >>= np.uint64(32)  # now the sorted low halves
     merged = key[1:] == key[:-1]
+    del key  # freed before the gathers below, which lowers the peak memory
     for words, message in (
         (targets, "low target halves collided: two elements agree on the low 32 bits of their targets only"),
         (signs, "sign kernel: two elements agree on every target but not on every sign"),
     ):
-        ranked = words[order]
+        ranked = words.take(order)
         if ((ranked[1:] != ranked[:-1]) & merged).any():
             raise RuntimeError(message)
         del ranked  # freed before the next gather, which lowers the peak memory
-    first = order[np.flatnonzero(np.concatenate([[True], ~merged]))]
-    return first[first >= known] - known
+    starts = np.flatnonzero(np.concatenate([[True], ~merged]))
+    new = order.take(starts) >= known
+    bits = np.zeros(len(order), dtype=np.uint8)
+    bits[known:] = np.left_shift(np.uint8(1), gens)
+    return order.take(starts[new]) - known, np.bitwise_or.reduceat(bits.take(order), starts)[new]
+
+
+def _skip_sets(signed: np.ndarray) -> np.ndarray:
+    """skips[mask]: the bits of the tables a level step does not gather a row
+    through when the tables in `mask` merged into it: every inverse of each
+    table t in mask, and t itself when t.t undoes t, read off the whole signed
+    tables.  Raises RuntimeError on more than 8 tables, or on a table with no
+    inverse in the stack, since the BFS's one-level window rests on inverse pairs."""
+    if len(signed) > 8:
+        raise RuntimeError(f"a row's table mask holds 8 tables, got {len(signed)}")
+    identity, tables = np.arange(signed.shape[1]), np.arange(len(signed))
+    after = _after(signed, signed)  # after[u, t]: table u after table t
+    inverse = (after == identity).all(axis=-1)  # inverse[u, t]: u undoes t
+    if not inverse.any(axis=0).all():
+        raise RuntimeError(
+            f"table {np.argmin(inverse.any(axis=0))} has no inverse in the stack: the BFS window needs inverse pairs"
+        )
+    order_3 = (np.take_along_axis(signed, after[tables, tables], axis=-1) == identity).all(axis=-1)
+    skip = inverse.T | np.diag(order_3)  # skip[t, u]: table u is skipped for t alone
+    member = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, count=len(signed), bitorder="little")
+    return np.packbits(member @ skip, axis=1, bitorder="little")[:, 0]
+
+
+def _gathered(masks: np.ndarray, skips: np.ndarray, tables: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gen, parent) of each candidate row of a level step, table by table and
+    then by row: every pair but those whose table is in skips[masks[parent]]."""
+    rows = len(masks)
+    gathers = (skips.take(masks) & np.left_shift(np.uint8(1), np.arange(tables, dtype=np.uint8))[:, None]) == 0
+    flat = gathers.ravel().nonzero()[0]  # gen * rows + parent
+    counts = gathers.sum(axis=1)
+    gens = np.repeat(np.arange(tables, dtype=np.uint8), counts)
+    return gens, (flat - np.repeat(rows * np.arange(tables), counts)).astype(np.uint32)
 
 
 # links[L-1] = (gen, parent): row k of BFS level L is signed[gen[k]] after row parent[k] of level L-1.
@@ -203,25 +267,32 @@ def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tupl
     """The closure of the stacked signed tables `signed`, one BFS level (distance from 1) at a time.
 
     Yields each level's key rows, the codes at the words `base`, with the
-    links of the levels so far.  The tables are closed under inverses, so
-    every neighbour of level L lies in level L-1, L or L+1: new rows are told
-    apart from the last two levels only.  Raises EnumerationCapExceeded as
-    soon as more than cap elements are found, before their level is yielded.
+    links of the levels so far.  Raises EnumerationCapExceeded as soon as
+    more than cap elements are found, before their level is yielded.
 
-    A level's keys are padded to 8 codes with code 0, which every table fixes
-    (word 0 is 1), so each table's gather of a key row is 8 target bytes, one
-    uint64, and 8 sign bytes, a second.  Each level step fills one uint64
-    buffer of targets and one of signs: the packed rows of the last two levels
-    first, then each table's gather of every key, table by table, so candidate
-    row gen * len(keys) + parent is signed[gen] after key row parent.  The
-    first copy of each new row is kept, in the order of the low 32 bits of
-    its targets (`_new_rows`); two rows that agree there but not in their
-    whole targets or signs raise RuntimeError.
+    The inverse pairs and order-3 tables are read off the whole tables first
+    (`_skip_sets`); a table with no inverse in the stack raises RuntimeError.
+    Each row then skips the tables that lead back or sideways from it (the
+    module docstring gives the argument): every candidate of a level step
+    lands in the current level or the next, so new rows are told apart from
+    the current level only.  Links are (uint8 gen, uint32 parent).
+
+    A level's keys are padded to 8 codes with code 0, which every table must
+    fix (word 0 is 1), else RuntimeError, so each table's gather of a key row
+    is 8 target bytes, one uint64, and 8 sign bytes, a second.  Each level
+    step fills one uint64 buffer of targets and one of signs: the packed rows
+    of the current level first, then each table's gather of the keys it is
+    not skipped at, table by table (`_gathered`).  The first copy of each new
+    row is kept, in the order of the low 32 bits of its targets, with the mask
+    of the tables whose candidates merged into it (`_new_rows`); two rows that
+    agree there but not in their whole targets or signs raise RuntimeError.
     """
-    assert not signed[:, 0].any(), "every table must fix word 0, the code the keys are padded with"
+    if signed[:, 0].any():
+        raise RuntimeError("every table must fix word 0, the code the keys are padded with")
+    skips = _skip_sets(signed)
     targets_of, signs_of = (signed >> 1).astype(np.uint8), (signed & 1).astype(np.uint8)
-    # the packed (targets, signs) rows of the level before and of this one, first the identity
-    before, level = np.empty((2, 0), dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)
+    # the packed (targets, signs) rows of this level, first the identity, and their table masks
+    level, masks = np.zeros((2, 1), dtype=np.uint64), np.zeros(1, dtype=np.uint8)
     level.view(np.uint8)[0, : len(base)] = base
     links: Links = []
     found = 1
@@ -229,21 +300,27 @@ def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tupl
         targets, signs = level.view(np.uint8).reshape(2, -1, 8)
         keys = (targets.astype(np.uint16) << 1) | signs
         yield keys[:, : len(base)], links
-        known = before.shape[1] + level.shape[1]
-        rows = np.empty((2, known + len(signed) * len(keys)), dtype=np.uint64)
-        rows[:, : before.shape[1]] = before
-        rows[:, before.shape[1] : known] = level
-        # every key code is a table's output, so in range; mode "raise" would buffer `out`
-        for table, out in zip((targets_of, signs_of), rows[:, known:]):
-            np.take(table, keys, axis=1, out=out.view(np.uint8).reshape(len(signed), len(keys), 8), mode="clip")
-        fresh = _new_rows(*rows, known)
+        gens, parents = _gathered(masks, skips, len(signed))
+        known = level.shape[1]
+        rows = np.empty((2, known + len(gens)), dtype=np.uint64)
+        rows[:, :known] = level
+        out = rows[:, known:].view(np.uint8).reshape(2, -1, 8)
+        # uint8 bounds: an int64 search would copy gens to int64
+        bounds = np.searchsorted(gens, np.arange(len(signed) + 1, dtype=np.uint8)).tolist()
+        for gen, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # one table's parent keys at a time, which lowers the peak memory
+            parent_keys = keys.take(parents[start:stop], axis=0)
+            # every key code is a table's output, so in range; mode "raise" would buffer `out`
+            targets_of[gen].take(parent_keys, out=out[0, start:stop], mode="clip")
+            signs_of[gen].take(parent_keys, out=out[1, start:stop], mode="clip")
+        fresh, masks = _new_rows(*rows, gens, known)
         if not fresh.size:
             return
         found += len(fresh)
         if found > cap:
             raise EnumerationCapExceeded(cap, found)
-        links.append(np.divmod(fresh, len(keys)))
-        before, level = level, rows.take(known + fresh, axis=1)
+        links.append((gens.take(fresh), parents.take(fresh)))
+        level = rows.take(known + fresh, axis=1)
 
 
 def _full_row(signed: np.ndarray, links: Links, k: int) -> np.ndarray:
@@ -325,7 +402,7 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
         "centerOrder": central,
         "projectiveOrder": order // central,
         "generatorOrders": [_order(a) for a in signed[: n - 1]],
-        "centralWordCount": len(center(n)),
+        "centralWordCount": len(_central_masks(n)) ** 2,
         "formulaEstimate": order_formula_estimate(n),
         "levelSizes": sizes,
         "conclusive": True,

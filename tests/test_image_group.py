@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatbraid.algebra import AlgebraElement, Word, center, mul_words, word_count
-from quatbraid import image_group, intspan
+from quatbraid import algebra, image_group, intspan
 from quatbraid.hecke import S_COEFF, braid_generator, braid_generator_inverse
 from quatbraid.image_group import (
     EnumerationCapExceeded,
@@ -143,12 +143,22 @@ def test_enumerate_small_groups():
     assert res4["projectiveOrder"] == order_formula_estimate(4)
 
 
-def test_enumerate_group_bookkeeping():
+def test_enumerate_group_bookkeeping(monkeypatch):
     res = enumerate_group(3)
     assert res["imageOrder"] == res["projectiveOrder"] * res["centerOrder"]
     assert res["generatorOrders"] == [3, 3]
-    assert res["centralWordCount"] == len(center(3))
     assert res["conclusive"]
+    # centralWordCount counts the central words without building their list,
+    # which the suite's center[n=k] check builds once
+    want = {n: len(center(n)) for n in (2, 3, 4, 5)}
+
+    def unused(n):
+        raise AssertionError("enumerate_group builds the center's word list")
+
+    monkeypatch.setattr(algebra, "center", unused)
+    for n in (2, 3, 4):
+        assert enumerate_group(n)["centralWordCount"] == want[n], n
+    assert len(algebra._central_masks(5)) ** 2 == want[5]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -293,15 +303,16 @@ def test_cap_stops_before_full_rows_of_the_over_cap_level(monkeypatch, n, cap):
     assert len(seen_rows) > 1 or cap == 1
 
 
-def _first_new_rows_reference(keys, known):
-    """Oracle: the first copy of each row of keys[known:] not in keys[:known], on whole signed codes."""
+def _first_new_rows_reference(keys, gens, known):
+    """Oracle: {position: mask} for the first copy of each row of keys[known:]
+    not in keys[:known], on whole signed codes, its mask the OR of the bits
+    1 << gens[p] of every copy keys[known + p]."""
     seen = {row.tobytes() for row in keys[:known]}
-    fresh = []
+    masks = {}
     for k in range(known, len(keys)):
         if keys[k].tobytes() not in seen:
-            seen.add(keys[k].tobytes())
-            fresh.append(k - known)
-    return fresh
+            masks.setdefault(keys[k].tobytes(), [k - known, 0])[1] |= 1 << int(gens[k - known])
+    return dict(masks.values())
 
 
 def _packed(keys):
@@ -313,9 +324,9 @@ def _packed(keys):
 
 @pytest.mark.parametrize("width", [4, 8])
 def test_first_new_rows_matches_first_copy_reference(width):
-    # exactly the first-copy oracle's positions, as a set and in count, in
-    # low-half order; the pool's rows are distinct in the low half, the targets
-    # of codes 0..3, which is the whole key at width 4
+    # exactly the first-copy oracle's positions and masks, in low-half order;
+    # the pool's rows are distinct in the low half, the targets of codes 0..3,
+    # which is the whole key at width 4
     rng = np.random.default_rng(width)
     pool = rng.integers(0, 512, size=(40, width), dtype=np.uint16)
     pool[:4, 0] = 511  # target 255, the largest one byte holds
@@ -325,20 +336,24 @@ def test_first_new_rows_matches_first_copy_reference(width):
     assert len({row.tobytes() for row in pool[:, :4] >> 1}) == len(pool)
     keys = pool[rng.integers(len(pool), size=600)]
     targets, signs = _packed(keys)
+    seen_masks = set()
     for known in (0, 1, 150):  # 150 known rows hold repeats of one another
-        got = image_group._new_rows(targets, signs, known)
-        want = _first_new_rows_reference(keys, known)
-        assert len(got) == len(want)
-        assert set(got.tolist()) == set(want)
+        gens = rng.integers(8, size=len(keys) - known).astype(np.uint8)
+        got, masks = image_group._new_rows(targets, signs, gens, known)
+        want = _first_new_rows_reference(keys, gens, known)
+        assert masks.dtype == np.uint8 and len(got) == len(masks) == len(want)
+        assert dict(zip(got.tolist(), masks.tolist())) == want
+        seen_masks |= set(want.values())
         low = targets[known + got] & np.uint64(0xFFFFFFFF)
         assert (low[1:] > low[:-1]).all()
+    assert len(seen_masks) > 8  # masks of several bits, not only one bit each
 
 
 @pytest.mark.parametrize("known", [0, 1, 2])
 def test_first_new_rows_rejects_rows_that_differ_in_signs_only(known):
     keys = np.array([[2, 4, 6, 8], [3, 4, 6, 8]], dtype=np.uint16)
     with pytest.raises(RuntimeError, match="^sign kernel: two elements agree on every target but not on every sign$"):
-        image_group._new_rows(*_packed(keys), known)
+        image_group._new_rows(*_packed(keys), np.zeros(2 - known, dtype=np.uint8), known)
 
 
 @pytest.mark.parametrize("known", [0, 1, 2])
@@ -348,7 +363,76 @@ def test_first_new_rows_rejects_rows_that_differ_in_the_high_half_only(known):
     keys = np.array([[2, 4, 6, 8, 10, 12, 14, 16], [2, 4, 6, 8, 10, 12, 14, 18]], dtype=np.uint16)
     message = "^low target halves collided: two elements agree on the low 32 bits of their targets only$"
     with pytest.raises(RuntimeError, match=message):
-        image_group._new_rows(*_packed(keys), known)
+        image_group._new_rows(*_packed(keys), np.zeros(2 - known, dtype=np.uint8), known)
+
+
+def _spied_steps(monkeypatch):
+    """The (gen, parent) arrays each level step gathers, recorded by a spy on `_gathered`."""
+    steps = []
+    gathered = image_group._gathered
+
+    def spy(*args):
+        steps.append(gathered(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(image_group, "_gathered", spy)
+    return steps
+
+
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 20), (4, 1650), (5, 292108)])
+def test_level_steps_skip_every_candidate_that_cannot_be_new(monkeypatch, n, count):
+    # against 2(n-1) candidates per element, 6 / 48 / 3,888 / 622,080, with no skipping
+    steps = _spied_steps(monkeypatch)
+    res = enumerate_group(n)
+    assert len(steps) == len(res["levelSizes"])
+    assert sum(len(gens) for gens, _ in steps) == count
+    assert all(gens.dtype == np.uint8 and parents.dtype == np.uint32 for gens, parents in steps)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_skipped_pairs_land_in_the_current_or_previous_level(monkeypatch, n):
+    # every (table, row) pair a level step skips is, on the whole rows, a row of
+    # that level or the one before; every pair it gathers, of that level or the next
+    steps = _spied_steps(monkeypatch)
+    signed = image_group._signed_tables(n)
+    base = image_group._generator_words(n)
+    levels = [
+        [image_group._full_row(signed, links, k) for k in range(len(keys))]
+        for keys, links in image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS)
+    ]
+    assert len(steps) == len(levels)
+    sets = [set()] + [{row.tobytes() for row in level} for level in levels] + [set()]
+    skipped = 0
+    for step, ((gens, parents), level) in enumerate(zip(steps, levels)):
+        gathered = set(zip(gens.tolist(), parents.tolist()))
+        for t, p in itertools.product(range(len(signed)), range(len(level))):
+            lands = image_group._after(signed[t], level[p]).tobytes()
+            if (t, p) in gathered:
+                assert lands in sets[step + 1] | sets[step + 2], (t, p)
+            else:
+                assert lands in sets[step] | sets[step + 1], (t, p)
+                skipped += 1
+    assert skipped == len(signed) * sum(map(len, levels)) - sum(len(gens) for gens, _ in steps) > 0
+
+
+def test_bfs_raises_on_a_table_with_no_inverse():
+    # s_1 and s_2 alone: each has order 3, so its inverse s_i s_i is not in the stack
+    signed = image_group._signed_tables(3)
+    base = image_group._generator_words(3)
+    with pytest.raises(RuntimeError, match="^table 0 has no inverse in the stack"):
+        next(image_group._bfs_levels(signed[:2], base, image_group.MAX_ELEMENTS))
+    # nine tables do not fit a row's 8-bit table mask
+    with pytest.raises(RuntimeError, match="^a row's table mask holds 8 tables, got 9$"):
+        next(image_group._bfs_levels(np.vstack([signed] * 2 + [signed[:1]]), base, image_group.MAX_ELEMENTS))
+
+
+def test_bfs_raises_on_a_table_that_moves_word_0():
+    # a RuntimeError, not an assert that python -O strips: the keys are padded with code 0
+    signed = image_group._signed_tables(2)
+    swap = np.arange(signed.shape[1], dtype=np.uint16) ^ 2  # word 0 <-> word 1, an involution
+    levels = image_group._bfs_levels(np.vstack([signed, swap]), image_group._generator_words(2), 10)
+    with pytest.raises(RuntimeError, match="^every table must fix word 0, the code the keys are padded with$"):
+        next(levels)
 
 
 @pytest.mark.parametrize("n, order", [(2, 3), (3, 12), (4, 648), (5, 77760)])
@@ -367,14 +451,19 @@ def test_low_target_halves_tell_the_elements_apart(n, order):
 
 def test_bfs_raises_on_a_table_that_flips_one_sign_only():
     # s_1, s_2 and their inverses at n = 3, plus the involution -1 on the code of
-    # one generator word: its row agrees with the identity's on every target
+    # one generator word: its row agrees with the identity's on every target.
+    # Then that flip after s_1, and its inverse, in place of the flip: the twin
+    # rows s_1 and flip.s_1 are two candidates of one level step
     signed = image_group._signed_tables(3)
     base = image_group._generator_words(3)
     flip, x = np.arange(signed.shape[1], dtype=np.uint16), 2 * base[1]
     flip[x], flip[x + 1] = x + 1, x
-    levels = image_group._bfs_levels(np.vstack([signed, flip]), base, image_group.MAX_ELEMENTS)
-    with pytest.raises(RuntimeError, match="^sign kernel: two elements agree on every target but not on every sign$"):
-        list(levels)
+    flipped = image_group._after(flip, signed[0])
+    for extra in ([flip], [flipped, np.argsort(flipped).astype(np.uint16)]):
+        levels = image_group._bfs_levels(np.vstack([signed, *extra]), base, image_group.MAX_ELEMENTS)
+        message = "^sign kernel: two elements agree on every target but not on every sign$"
+        with pytest.raises(RuntimeError, match=message):
+            list(levels)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
