@@ -17,11 +17,14 @@ Every element is a composition of conjugations by units of the algebra, hence
 an algebra automorphism, and the u_i, v_i generate the algebra, so its codes
 at those 2(n-1) words, its key, fix it.  The BFS keeps key rows only: applying
 a generator after an element reads each word's code at that same word, so the
-next level's keys are one table gather per level.  The central test compares
-a.el with el.a on each u_i, v_i: el.a(x) = el(+-w), w a product of u_j, v_j,
-is on the same premise the product of el's key codes at those words by the
-word sign rule (`_mul_codes`).  Each central hit is still rebuilt along its
-BFS path (the generator and parent of each element) and checked on every word.
+next level's keys are one table gather per level.  An element is central
+when it commutes with every table on every word, and that comparison of
+whole rows decides the center.  Each row compared is rebuilt along its BFS
+path (the generator and parent of each element).  Only the keys that pass
+the one-word checks get that far: where a generator a sends a key word
+base[k] to +-base[f], a central el has a(el(base[k])) = +-el(base[f]), two
+key codes compared.  There are 1, 2, 7 and 16 such checks at n = 2..5, and
+the keys they leave are exactly the 3, 1, 3 and 3 central elements.
 
 A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
 for n <= MAX_N = 5 the targets of a key, padded to 8 codes with code 0 (word
@@ -337,41 +340,31 @@ def _full_row(signed: np.ndarray, links: Links, k: int) -> np.ndarray:
 
 
 def _central_checks(actions: np.ndarray, base: np.ndarray) -> list[tuple]:
-    """(a, k, sign, factors) for each signed table a and key word x = base[k]:
-    a(x) = (-1)^sign times the product of the words base[factors], in base
-    order.  Each key word is one bit of the word index, so factors are those
-    whose bit a(x) >> 1 has.  The checks with one factor, no product, come first."""
-    checks = [
-        (a, k, code & 1, np.flatnonzero(base & (code >> 1))) for a in actions for k, code in enumerate(a[2 * base])
+    """(a, k, f, sign) for each signed table a and key index k with
+    a(base[k]) = (-1)^sign base[f]: there a central el has
+    a(el(base[k])) = (-1)^sign el(base[f]), one comparison of two key codes."""
+    key_index = {x: f for f, x in enumerate(base.tolist())}
+    return [
+        (a, k, key_index[code >> 1], code & 1)
+        for a in actions
+        for k, code in enumerate(a[2 * base].tolist())
+        if code >> 1 in key_index
     ]
-    return sorted(checks, key=lambda check: len(check[3]))
 
 
 def _central_rows(keys: np.ndarray, links: Links, signed: np.ndarray, checks: list[tuple]) -> list[np.ndarray]:
-    """The full code rows of the elements of one level that commute with every action.
+    """The full code rows of the elements of one level that commute with every table of `signed`.
 
-    Each of `checks` (from `_central_checks`) compares a.el with el.a on one
-    word u_i, v_i and one action a, on the keys that passed every comparison
-    before; el.a is the product of the key codes at the factors.  The test
-    stops once no key is left.  The full row of each element that passes is
-    rebuilt from `links` and checked to commute with every table of `signed`
-    on every word.
+    The keys that pass every check of `checks` (from `_central_checks`) are
+    rebuilt from `links`, and a row is central when it commutes with every
+    table on every word.  The checks only drop keys that fail that comparison.
     """
-    n = keys.shape[1] // 2 + 1
     alive = np.arange(len(keys))
-    for a, k, sign, factors in checks:
-        if not alive.size:
-            return []
-        el_a = keys[alive, factors[0]]
-        for f in factors[1:]:
-            el_a = _mul_codes(el_a, keys[alive, f], n)
-        alive = alive[(el_a ^ sign) == _after(a, keys[alive, k])]
-    central = [_full_row(signed, links, k) for k in alive]
-    for row in central:
-        # a[::2] is the unsigned code row of a
-        if not all(np.array_equal(_after(_signed(row), a[::2]), _after(a, row)) for a in signed):
-            raise RuntimeError("element commutes on u_i, v_i but not on every word")
-    return central
+    for a, k, f, sign in checks:
+        alive = alive[(keys[alive, f] ^ sign) == _after(a, keys[alive, k])]
+    rows = [_full_row(signed, links, k) for k in alive]
+    # a[::2] is the unsigned code row of a
+    return [row for row in rows if all(np.array_equal(_after(_signed(row), a[::2]), _after(a, row)) for a in signed)]
 
 
 def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
@@ -410,17 +403,19 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
 
 
 def order_formula_estimate(n: int) -> int:
-    """(1/3) * 2^((n-1)(n-2)/2) * prod_{i=1}^{n-1} (2^i - (-1)^i), rounded.
+    """The projective order of the image by formula: |GU_(n-1)(2)| / 3 when
+    3 does not divide n, and 4^(n-2) |GU_(n-2)(2)| when it does, with
+    |GU_m(2)| = 2^(m(m-1)/2) prod_{i=1}^{m} (2^i - (-1)^i).
 
-    It equals the enumerated projective order at n = 2, 4 and 5, not at n = 3
-    (6 against 12).  At n = 6 the order of the image, found by Schreier-Sims
-    on the signed points, is 19,906,560 with a trivial centre, against
-    13,685,760 here (with a factor 11 it lacks); n = 6 has a 4-dimensional centre.
+    It equals the enumerated projective order at n = 2..5 (1, 12, 216 and
+    25,920).  At n = 6 the order of the image, found by Schreier-Sims on the
+    signed points, is 19,906,560 with a trivial centre, which it equals too.
     """
-    prod = 1
-    for i in range(1, n):
-        prod *= 2**i - (-1) ** i
-    return (2 ** ((n - 1) * (n - 2) // 2) * prod) // 3
+    m = n - 1 if n % 3 else n - 2
+    order = 2 ** (m * (m - 1) // 2)
+    for i in range(1, m + 1):
+        order *= 2**i - (-1) ** i
+    return order // 3 if n % 3 else 4 ** (n - 2) * order
 
 
 def left_regular_matrix(i: int, n: int) -> list[list[int]]:

@@ -272,8 +272,11 @@ def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], list[int]]:
     coset decomposition of the Hecke algebra (Jones 1987; Geck-Pfeiffer 2000, 4.4).
 
     A finding at n = 2..7 that nothing here relies on: the entries are -1, 0, 1,
-    the identity word's row is that word alone, every other row has three
-    entries, each word index is in one row, so the rank is (4^(n-1) + 2)/3.
+    the identity word's row is that word alone, and every other row has three
+    entries, on the words x, Jx, J^2 x, where J(eps, nu) = (eps ^ nu, eps)
+    (per strand v_j -> u_j -> u_j v_j -> v_j), J^3 x = x and
+    x ^ Jx ^ J^2 x = 0.  Each word index is in one row, so the rank is
+    (4^(n-1) + 2)/3.
     """
     rows, holders, ranks = {0: {0: 1}}, collections.defaultdict(set, {0: {0}}), [1]
     for m in range(2, n + 1):

@@ -508,6 +508,18 @@ def test_basis_shape_finding(n):
     assert all(len(row) == 3 for p, row in rows.items() if p != Word.identity(n).index)
     assert sorted(c for row in rows.values() for c in row) == list(range(word_count(n)))
     assert len(rows) == ranks[-1] == (4 ** (n - 1) + 2) // 3
+    # each other row's support is a J-orbit {x, Jx, J^2 x}, with
+    # J(eps, nu) = (eps ^ nu, eps) on the index eps * 2^(n-1) + nu
+    half = 1 << (n - 1)
+
+    def j(x):
+        eps, nu = divmod(x, half)
+        return (eps ^ nu) * half + eps
+
+    for p, row in rows.items():
+        if p != Word.identity(n).index:
+            assert set(row) == {p, j(p), j(j(p))}, (n, p, row)
+            assert p ^ j(p) ^ j(j(p)) == 0 and j(j(j(p))) == p, (n, p)
 
 
 def _primitive_rref(vecs):

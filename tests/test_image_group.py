@@ -231,26 +231,55 @@ def test_enumeration_matches_full_row_closure(n):
 
 def _key_closure(n):
     """The BFS key words, the key rows, the full row rebuilt for each, and
-    the full rows of the central elements."""
+    the full rows of the central elements, found behind the one-word checks
+    and, with no check, on the whole rows alone."""
     signed = image_group._signed_tables(n)
     base = image_group._generator_words(n)
     checks = image_group._central_checks(signed[: n - 1], base)
-    rows, central = [], set()
+    rows, central, unfiltered = [], set(), set()
     for keys, links in image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS):
         rows += [(key, image_group._full_row(signed, links, k)) for k, key in enumerate(keys)]
         central |= {r.tobytes() for r in image_group._central_rows(keys, links, signed, checks)}
-    return base, rows, central
+        unfiltered |= {r.tobytes() for r in image_group._central_rows(keys, links, signed, [])}
+    return base, rows, central, unfiltered
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_key_rows_match_full_row_closure(n):
     els, central = _closure_by_compose(n)
-    base, rows, central_rows = _key_closure(n)
+    base, rows, central_rows, unfiltered = _key_closure(n)
     assert len(base) == 2 * (n - 1)
     assert len(rows) == len(els)
     assert {key.tobytes() for key, _ in rows} == {el.codes[base].tobytes() for el in els.values()}
     assert all(full.tobytes() in els and np.array_equal(key, full[base]) for key, full in rows)
-    assert central_rows == central
+    assert central_rows == unfiltered == central
+
+
+@pytest.mark.parametrize("n, checks", [(2, 1), (3, 2), (4, 7), (5, 16)])
+def test_central_checks_read_one_key_word_each(n, checks):
+    signed = image_group._signed_tables(n)
+    base = image_group._generator_words(n)
+    got = image_group._central_checks(signed[: n - 1], base)
+    assert len(got) == checks
+    for a, k, f, sign in got:
+        assert any(np.array_equal(a, table) for table in signed[: n - 1])
+        assert a[2 * base[k]] == 2 * base[f] + sign, (n, k, f, sign)
+
+
+def test_only_the_central_elements_are_rebuilt(monkeypatch):
+    # the one-word checks leave exactly the central elements at n = 2..5
+    calls = []
+    full_row = image_group._full_row
+
+    def spy(*args):
+        calls.append(args[2])
+        return full_row(*args)
+
+    monkeypatch.setattr(image_group, "_full_row", spy)
+    for n, central in ((2, 3), (3, 1), (4, 3), (5, 3)):
+        calls.clear()
+        assert enumerate_group(n)["centerOrder"] == central
+        assert len(calls) == central, (n, calls)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -482,12 +511,11 @@ def test_enumerate_range_check():
 
 
 def test_formula_estimate_values():
-    assert order_formula_estimate(4) == 216
-    assert order_formula_estimate(5) == 25920
-    projective = {n: enumerate_group(n)["projectiveOrder"] for n in (2, 3, 4, 5)}
-    for n in (2, 4, 5):
-        assert order_formula_estimate(n) == projective[n]
-    assert (order_formula_estimate(3), projective[3]) == (6, 12)
+    assert [order_formula_estimate(n) for n in (2, 3, 4, 5)] == [1, 12, 216, 25920]
+    for n in (2, 3, 4, 5):
+        assert order_formula_estimate(n) == enumerate_group(n)["projectiveOrder"], n
+    # the n = 6 order of the image, by Schreier-Sims, with a trivial centre
+    assert order_formula_estimate(6) == 19_906_560
 
 
 def test_left_regular_determinant_n2():
