@@ -13,22 +13,34 @@ A signed table is a permutation of the 2*4^(n-1) signed codes, so its inverse
 permutation, one argsort, is the signed table of the inverse element.  Each
 generator's order is read off the powers of its whole signed table, which
 does not rest on the key premise below.
+
 Every element is a composition of conjugations by units of the algebra, hence
 an algebra automorphism, and the u_i, v_i generate the algebra, so its codes
-at those 2(n-1) words, its key, fix it.  The BFS keeps key rows only: applying
-a generator after an element reads each word's code at that same word, so the
-next level's keys are one table gather per level.  An element is central
-when it commutes with every table on every word, and that comparison of
-whole rows decides the center.  Each row compared is rebuilt along its BFS
-path (the generator and parent of each element).  Only the keys that pass
-the one-word checks get that far: where a generator a sends a key word
-base[k] to +-base[f], a central el has a(el(base[k])) = +-el(base[f]), two
-key codes compared.  There are 1, 2, 7 and 16 such checks at n = 2..5, and
-the keys they leave are exactly the 3, 1, 3 and 3 central elements.
+at those 2(n-1) words fix it.  Half of them do.  Let sigma map u_j to u_j v_j
+and v_j to u_j, each with sign +1, and every other word to the product of its
+factors' images (`sigma`); on the word index it is J(eps, nu) = (eps ^ nu,
+eps), and sigma^3 = 1.  The BFS first checks on whole tables that sigma
+commutes with every table, else RuntimeError names the table.  Then every
+element e commutes with sigma, and e(v_j) = e(sigma^-1(u_j)) =
+sigma^-1(e(u_j)), so the codes of e at u_1..u_(n-1), its key, fix it.  The
+BFS keeps key rows only: applying a generator after an element reads each
+word's code at that same word, so the next level's keys are one table
+gather per level.
 
-A key has 2(n-1) <= 8 codes, and each target is below 4^(n-1) <= 256, so
-for n <= MAX_N = 5 the targets of a key, padded to 8 codes with code 0 (word
-0 is 1, fixed by every table), are the 8 bytes of one uint64 and its signs
+An element is central when it commutes with every table on every word, and
+that comparison of whole rows decides the center, once the BFS is done.
+Each row compared is rebuilt along its BFS path (the generator and parent
+of each element).  Only the keys that pass the one-word checks get that
+far: where a generator a sends a generator word base[k] to +-base[f], a
+central el has a(el(base[k])) = +-el(base[f]), two codes compared.  There
+are 1, 2, 7 and 16 such checks at n = 2..5.  The 0, 0, 2 and 6 of them
+between two u-words run on every key; the keys that pass gain their codes
+at v_1..v_(n-1), sigma^-1 of their key, for the rest.  The keys the checks
+leave are exactly the 3, 1, 3 and 3 central elements.
+
+A key has n-1 <= 4 codes, and each target is below 4^(n-1) <= 256, so for
+n <= MAX_N = 5 the targets of a key, padded to 4 codes with code 0 (word 0
+is 1, fixed by every table), are the 4 bytes of one uint32 and its signs
 those of a second; the tables' gathers write those bytes straight into the
 buffers a level step sorts.
 
@@ -46,28 +58,27 @@ further out than L), so t's candidate merged into k and u is in k's skip
 set.  The candidates of a step thus land in its own level or the next, and
 new elements are told apart from the current level alone.  The steps
 gather 2, 20, 1,650 and 292,108 candidate rows at n = 2..5, against
-2(n-1) per element (6, 48, 3,888 and 622,080) with no skipping.
+2(n-1) per element (6, 48, 3,888 and 622,080) with no skipping.  A table
+is a permutation gathered once per row, so the candidates that merge into
+one row come from distinct tables, and its mask is the sum of their bits.
 
-New elements are found by one value sort of the words (low 32 bits of the
-targets) << 32 | position: the low half holds the targets of key codes
-0..3 (u_1..u_4 at n = 5; u_1..u_3, v_1 at n = 4; the whole key at n <= 3),
-and the position breaks ties, so each run of equal low halves starts with
-its first copy, which is kept.  A level is thus in low-half order.  Every
-pair of rows the sort merges must agree in its whole target word, else
-RuntimeError says the low halves collided, and in its sign word, else the
-pair is an element that changes signs only, a nontrivial sign kernel, and
-RuntimeError says so.  So the result is that of comparing whole signed
-codes: a skipped comparison is with a row it equals, and would pass.  A
-sign kernel still raises.  A table takes rows with equal targets but other
-signs, sign twins, to sign twins, since the target of a code after a table
-depends on its target alone.  Of the twin pairs with the least sum of
-levels, take one whose levels differ least: were they two or more apart,
-the table that takes the outer twin one level in would take the inner one
-at most one level out, to a twin pair with no larger sum and closer levels.
-So the pair lies in one level or two adjacent ones, and the step that finds
-the outer twin merges it with the inner one.  The low halves of the 3, 12,
-648 and 77,760 elements at n = 2..5 are distinct (the low 24 bits would not
-be).
+New elements are found by one value sort of the words targets << 32 |
+position: the target word of a key is the whole sort value, and the position
+breaks ties, so each run of equal targets starts with its first copy, which
+is kept.  A level is thus in target order.  Every pair of rows the sort
+merges must agree in its sign word, else the pair is an element that changes
+signs only, a nontrivial sign kernel, and RuntimeError says so.  So the
+result is that of comparing whole signed codes: a skipped comparison is with
+a row it equals, and would pass.  A sign kernel still raises.  A table takes
+rows with equal targets but other signs, sign twins, to sign twins, since
+the target of a code after a table depends on its target alone.  Of the twin
+pairs with the least sum of levels, take one whose levels differ least: were
+they two or more apart, the table that takes the outer twin one level in
+would take the inner one at most one level out, to a twin pair with no
+larger sum and closer levels.  So the pair lies in one level or two adjacent
+ones, and the step that finds the outer twin merges it with the inner one.
+The key targets of the 3, 12, 648 and 77,760 elements at n = 2..5 are
+distinct (at n = 5, those at u_1..u_3 alone would not be).
 
 The conjugation action and the left-regular matrices both come from the
 integer letters T_i and 2 - T_i of `intspan.letter`; the action applies them to
@@ -135,15 +146,32 @@ def conjugation_action(i: int, n: int) -> SignedPermutation:
     if bad.any():
         w = Word.from_index(n, int(base[bad.argmax()]))
         raise NotASignedWordError(f"conjugate of {w} is not +-4 times one word")
-    words, codes = np.arange(word_count(n)), np.zeros(word_count(n), dtype=np.uint16)
-    for x, code in zip(base, (2 * np.nonzero(conj)[1] + (coeff < 0)).astype(np.uint16)):
-        codes = np.where(words & x, _mul_codes(codes, code, n), codes)
-    codes.flags.writeable = False
-    return SignedPermutation(n, codes)
+    return SignedPermutation(n, _extended((2 * np.nonzero(conj)[1] + (coeff < 0)).astype(np.uint16), n))
+
+
+@functools.lru_cache(maxsize=None)
+def sigma(n: int) -> np.ndarray:
+    """The signed code row of sigma: u_j -> u_j v_j and v_j -> u_j, each with
+    sign +1, extended to every word as `conjugation_action` is; cached per n,
+    read-only.  On the word index it is J(eps, nu) = (eps ^ nu, eps)."""
+    base = _generator_words(n)
+    u, v = base[: n - 1], base[n - 1 :]
+    return _extended((2 * np.concatenate([u | v, u])).astype(np.uint16), n)
+
+
+def _extended(codes: np.ndarray, n: int) -> np.ndarray:
+    """The read-only code row that has the signed codes `codes` at the words
+    `_generator_words(n)` and, at every other word, the product of its
+    factors' codes in normal-form order."""
+    words, row = np.arange(word_count(n)), np.zeros(word_count(n), dtype=np.uint16)
+    for x, code in zip(_generator_words(n), codes):
+        row = np.where(words & x, _mul_codes(row, code, n), row)
+    row.flags.writeable = False
+    return row
 
 
 # The default cap on the elements a group enumeration may find, the largest n it
-# supports (the BFS packs a key's targets into one byte each of one uint64), and
+# supports (the BFS packs the n-1 targets of a key into one byte each of one uint32), and
 # the largest generator order `_order` looks for before it stops as runaway.
 MAX_ELEMENTS, MAX_N, MAX_ORDER = 2_000_000, 5, 10**6
 
@@ -198,36 +226,36 @@ def _mul_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def _new_rows(targets: np.ndarray, signs: np.ndarray, gens: np.ndarray, known: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions, counted from `known`, of the first copy of each row of
-    targets[known:] that equals no row of targets[:known], in the order of the
-    low 32 bits of their targets, and the mask of each: the OR of the bits
-    1 << gens[p] of every row known + p that equals it.
+    targets[known:] that equals no row of targets[:known], in target order,
+    and the mask of each: the OR of the bits 1 << gens[p] of every row
+    known + p that equals it.
 
-    Rows are told apart by that low half alone: one sort of the words
-    (low half << 32) | position (a level step has far fewer than 2^32 rows)
-    puts each run of equal low halves in position order, so its first word is
-    its first copy, and the run is known exactly when that copy lies below
-    `known`.  Raises RuntimeError if two rows of a
-    run differ in their whole targets (the low halves collided) or in their
-    signs (a sign kernel), so the result is that of whole signed codes."""
-    key = (targets << np.uint64(32)) | np.arange(len(targets), dtype=np.uint64)
+    One sort of the words targets << 32 | position (a level step has far
+    fewer than 2^32 rows) puts each run of equal targets in position order,
+    so its first word is its first copy, and the run is known exactly when
+    that copy lies below `known`.  Raises RuntimeError if two rows of a run
+    differ in their signs (a sign kernel), so the result is that of whole
+    signed codes.  No two rows of a run may share a gen, as in a level step,
+    where each table is a permutation gathered once per row: then the OR is
+    the sum, a uint8 cumsum difference read at the new runs only."""
+    key = (targets.astype(np.uint64) << np.uint64(32)) | np.arange(len(targets), dtype=np.uint64)
     key.sort()
     order = key.view(np.int64) & 0xFFFFFFFF
-    key >>= np.uint64(32)  # now the sorted low halves
+    key >>= np.uint64(32)  # now the sorted targets
     merged = key[1:] == key[:-1]
     del key  # freed before the gathers below, which lowers the peak memory
-    for words, message in (
-        (targets, "low target halves collided: two elements agree on the low 32 bits of their targets only"),
-        (signs, "sign kernel: two elements agree on every target but not on every sign"),
-    ):
-        ranked = words.take(order)
-        if ((ranked[1:] != ranked[:-1]) & merged).any():
-            raise RuntimeError(message)
-        del ranked  # freed before the next gather, which lowers the peak memory
-    starts = np.flatnonzero(np.concatenate([[True], ~merged]))
-    new = order.take(starts) >= known
+    ranked = signs.take(order)
+    if ((ranked[1:] != ranked[:-1]) & merged).any():
+        raise RuntimeError("sign kernel: two elements agree on every target but not on every sign")
+    del ranked  # freed before the mask gathers below, which lowers the peak memory
+    bounds = np.flatnonzero(np.concatenate([[True], ~merged, [True]]))  # run starts, then len(order)
+    first = order.take(bounds[:-1])
+    new = np.flatnonzero(first >= known)
     bits = np.zeros(len(order), dtype=np.uint8)
     bits[known:] = np.left_shift(np.uint8(1), gens)
-    return order.take(starts[new]) - known, np.bitwise_or.reduceat(bits.take(order), starts)[new]
+    sums = np.zeros(len(order) + 1, dtype=np.uint8)
+    np.cumsum(bits.take(order), out=sums[1:])  # wraps mod 256, as the differences do
+    return first.take(new) - known, sums.take(bounds.take(new + 1)) - sums.take(bounds.take(new))
 
 
 def _skip_sets(signed: np.ndarray) -> np.ndarray:
@@ -266,48 +294,56 @@ def _gathered(masks: np.ndarray, skips: np.ndarray, tables: int) -> tuple[np.nda
 Links = list[tuple[np.ndarray, np.ndarray]]
 
 
-def _bfs_levels(signed: np.ndarray, base: np.ndarray, cap: int) -> Iterator[tuple[np.ndarray, Links]]:
+def _bfs_levels(signed: np.ndarray, n: int, cap: int) -> Iterator[tuple[np.ndarray, Links]]:
     """The closure of the stacked signed tables `signed`, one BFS level (distance from 1) at a time.
 
-    Yields each level's key rows, the codes at the words `base`, with the
-    links of the levels so far.  Raises EnumerationCapExceeded as soon as
-    more than cap elements are found, before their level is yielded.
+    Yields each level's key rows, the codes at u_1..u_(n-1), with the links
+    of the levels so far.  Raises EnumerationCapExceeded as soon as more
+    than cap elements are found, before their level is yielded.
 
-    The inverse pairs and order-3 tables are read off the whole tables first
-    (`_skip_sets`); a table with no inverse in the stack raises RuntimeError.
-    Each row then skips the tables that lead back or sideways from it (the
-    module docstring gives the argument): every candidate of a level step
-    lands in the current level or the next, so new rows are told apart from
-    the current level only.  Links are (uint8 gen, uint32 parent).
+    Every table must fix word 0, the code the keys are padded with, and
+    commute with `sigma`, which makes the key fix the element; else
+    RuntimeError.  The inverse pairs and order-3 tables are read off the
+    whole tables next (`_skip_sets`); a table with no inverse in the stack
+    raises RuntimeError.  Each row then skips the tables that lead back or
+    sideways from it (the module docstring gives the argument): every
+    candidate of a level step lands in the current level or the next, so
+    new rows are told apart from the current level only.  Links are (uint8
+    gen, uint32 parent).
 
-    A level's keys are padded to 8 codes with code 0, which every table must
-    fix (word 0 is 1), else RuntimeError, so each table's gather of a key row
-    is 8 target bytes, one uint64, and 8 sign bytes, a second.  Each level
-    step fills one uint64 buffer of targets and one of signs: the packed rows
-    of the current level first, then each table's gather of the keys it is
-    not skipped at, table by table (`_gathered`).  The first copy of each new
-    row is kept, in the order of the low 32 bits of its targets, with the mask
-    of the tables whose candidates merged into it (`_new_rows`); two rows that
-    agree there but not in their whole targets or signs raise RuntimeError.
+    A level's keys are padded to 4 codes with code 0, so each table's gather
+    of a key row is 4 target bytes, one uint32, and 4 sign bytes, a second.
+    Each level step fills one uint32 buffer of targets and one of signs: the
+    packed rows of the current level first, then each table's gather of the
+    keys it is not skipped at, table by table (`_gathered`).  The first copy
+    of each new row is kept, in target order, with the mask of the tables
+    whose candidates merged into it (`_new_rows`); two rows that agree in
+    their targets but not in their signs raise RuntimeError.
     """
     if signed[:, 0].any():
         raise RuntimeError("every table must fix word 0, the code the keys are padded with")
+    sig = _signed(sigma(n))
+    commutes = (_after(signed, sig) == _after(sig, signed)).all(axis=-1)
+    if not commutes.all():
+        raise RuntimeError(
+            f"table {np.argmin(commutes)} does not commute with sigma, so a key would not fix its element"
+        )
     skips = _skip_sets(signed)
     targets_of, signs_of = (signed >> 1).astype(np.uint8), (signed & 1).astype(np.uint8)
     # the packed (targets, signs) rows of this level, first the identity, and their table masks
-    level, masks = np.zeros((2, 1), dtype=np.uint64), np.zeros(1, dtype=np.uint8)
-    level.view(np.uint8)[0, : len(base)] = base
+    level, masks = np.zeros((2, 1), dtype=np.uint32), np.zeros(1, dtype=np.uint8)
+    level.view(np.uint8)[0, : n - 1] = _generator_words(n)[: n - 1]
     links: Links = []
     found = 1
     while True:
-        targets, signs = level.view(np.uint8).reshape(2, -1, 8)
+        targets, signs = level.view(np.uint8).reshape(2, -1, 4)
         keys = (targets.astype(np.uint16) << 1) | signs
-        yield keys[:, : len(base)], links
+        yield keys[:, : n - 1], links
         gens, parents = _gathered(masks, skips, len(signed))
         known = level.shape[1]
-        rows = np.empty((2, known + len(gens)), dtype=np.uint64)
+        rows = np.empty((2, known + len(gens)), dtype=np.uint32)
         rows[:, :known] = level
-        out = rows[:, known:].view(np.uint8).reshape(2, -1, 8)
+        out = rows[:, known:].view(np.uint8).reshape(2, -1, 4)
         # uint8 bounds: an int64 search would copy gens to int64
         bounds = np.searchsorted(gens, np.arange(len(signed) + 1, dtype=np.uint8)).tolist()
         for gen, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -340,9 +376,9 @@ def _full_row(signed: np.ndarray, links: Links, k: int) -> np.ndarray:
 
 
 def _central_checks(actions: np.ndarray, base: np.ndarray) -> list[tuple]:
-    """(a, k, f, sign) for each signed table a and key index k with
+    """(a, k, f, sign) for each signed table a and index k of `base` with
     a(base[k]) = (-1)^sign base[f]: there a central el has
-    a(el(base[k])) = (-1)^sign el(base[f]), one comparison of two key codes."""
+    a(el(base[k])) = (-1)^sign el(base[f]), one comparison of two codes."""
     key_index = {x: f for f, x in enumerate(base.tolist())}
     return [
         (a, k, key_index[code >> 1], code & 1)
@@ -352,19 +388,36 @@ def _central_checks(actions: np.ndarray, base: np.ndarray) -> list[tuple]:
     ]
 
 
-def _central_rows(keys: np.ndarray, links: Links, signed: np.ndarray, checks: list[tuple]) -> list[np.ndarray]:
-    """The full code rows of the elements of one level that commute with every table of `signed`.
-
-    The keys that pass every check of `checks` (from `_central_checks`) are
-    rebuilt from `links`, and a row is central when it commutes with every
-    table on every word.  The checks only drop keys that fail that comparison.
-    """
+def _passing(keys: np.ndarray, checks: list[tuple]) -> np.ndarray:
+    """The indices of the key rows with (-1)^sign keys[f] = a(keys[k]) on every check (a, k, f, sign)."""
     alive = np.arange(len(keys))
     for a, k, f, sign in checks:
         alive = alive[(keys[alive, f] ^ sign) == _after(a, keys[alive, k])]
-    rows = [_full_row(signed, links, k) for k in alive]
-    # a[::2] is the unsigned code row of a
-    return [row for row in rows if all(np.array_equal(_after(_signed(row), a[::2]), _after(a, row)) for a in signed)]
+    return alive
+
+
+def _central_rows(levels: list[np.ndarray], links: Links, signed: np.ndarray, checks: list[tuple]) -> list[np.ndarray]:
+    """The full code rows of the elements that commute with every table of `signed`.
+
+    `levels` holds the keys, the codes at u_1..u_(n-1), of every BFS level,
+    and `links` their links.  The checks of `checks` (from `_central_checks`)
+    that read two u-codes run on every key; the keys that pass gain their
+    codes at v_1..v_(n-1), sigma^-1 of the key, and run the other checks.
+    The keys that pass every check are rebuilt from `links`, and a row is
+    central when it commutes with every table on every word.  The checks
+    only drop keys that fail that comparison.
+    """
+    half = levels[0].shape[1]  # n - 1
+    keys = np.concatenate(levels)
+    alive = _passing(keys, [c for c in checks if max(c[1:3]) < half])
+    inverse = np.argsort(_signed(sigma(half + 1))).astype(np.uint16)
+    whole = np.concatenate([keys[alive], _after(inverse, keys[alive])], axis=1)
+    alive = alive[_passing(whole, [c for c in checks if max(c[1:3]) >= half])]
+    starts = np.cumsum([0] + list(map(len, levels)))
+    at = np.searchsorted(starts, alive, side="right") - 1  # the level of each
+    rows = [_full_row(signed, links[:level], k - starts[level]) for level, k in zip(at.tolist(), alive.tolist())]
+    # signed[:, ::2] are the unsigned code rows of the tables
+    return [row for row in rows if np.array_equal(_after(_signed(row), signed[:, ::2]), _after(signed, row))]
 
 
 def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
@@ -381,13 +434,11 @@ def enumerate_group(n: int, max_elements: int = MAX_ELEMENTS) -> dict:
     if max_elements < 1:
         raise ValueError(f"the element cap must be a positive integer, got {max_elements}")
     signed = _signed_tables(n)
-    base = _generator_words(n)
-    checks = _central_checks(signed[: n - 1], base)
-    sizes = []
-    central = 0
-    for keys, links in _bfs_levels(signed, base, max_elements):
-        sizes.append(len(keys))
-        central += len(_central_rows(keys, links, signed, checks))
+    levels = []
+    for keys, links in _bfs_levels(signed, n, max_elements):
+        levels.append(keys)
+    central = len(_central_rows(levels, links, signed, _central_checks(signed[: n - 1], _generator_words(n))))
+    sizes = [len(keys) for keys in levels]
     order = sum(sizes)
     return {
         "n": n,

@@ -230,29 +230,84 @@ def test_enumeration_matches_full_row_closure(n):
 
 
 def _key_closure(n):
-    """The BFS key words, the key rows, the full row rebuilt for each, and
-    the full rows of the central elements, found behind the one-word checks
-    and, with no check, on the whole rows alone."""
+    """The BFS key words u_1..u_(n-1), the key rows, the full row rebuilt for
+    each, and the full rows of the central elements, found behind the
+    one-word checks and, with no check, on the whole rows alone."""
     signed = image_group._signed_tables(n)
-    base = image_group._generator_words(n)
-    checks = image_group._central_checks(signed[: n - 1], base)
-    rows, central, unfiltered = [], set(), set()
-    for keys, links in image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS):
+    checks = image_group._central_checks(signed[: n - 1], image_group._generator_words(n))
+    rows, levels = [], []
+    for keys, links in image_group._bfs_levels(signed, n, image_group.MAX_ELEMENTS):
+        levels.append(keys)
         rows += [(key, image_group._full_row(signed, links, k)) for k, key in enumerate(keys)]
-        central |= {r.tobytes() for r in image_group._central_rows(keys, links, signed, checks)}
-        unfiltered |= {r.tobytes() for r in image_group._central_rows(keys, links, signed, [])}
-    return base, rows, central, unfiltered
+    central = {r.tobytes() for r in image_group._central_rows(levels, links, signed, checks)}
+    unfiltered = {r.tobytes() for r in image_group._central_rows(levels, links, signed, [])}
+    return image_group._generator_words(n)[: n - 1], rows, central, unfiltered
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_key_rows_match_full_row_closure(n):
     els, central = _closure_by_compose(n)
     base, rows, central_rows, unfiltered = _key_closure(n)
-    assert len(base) == 2 * (n - 1)
+    assert len(base) == n - 1
     assert len(rows) == len(els)
     assert {key.tobytes() for key, _ in rows} == {el.codes[base].tobytes() for el in els.values()}
     assert all(full.tobytes() in els and np.array_equal(key, full[base]) for key, full in rows)
     assert central_rows == unfiltered == central
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sigma_commutes_with_every_table(n):
+    # u_j -> u_j v_j and v_j -> u_j with sign +1; on the word index, J(eps, nu) = (eps ^ nu, eps)
+    sigma = image_group.sigma(n)
+    assert sigma is image_group.sigma(n) and sigma.dtype == np.uint16 and not sigma.flags.writeable
+    for b in (1 << j for j in range(n - 1)):
+        assert sigma[Word(n, b, 0).index] == 2 * Word(n, b, b).index
+        assert sigma[Word(n, 0, b).index] == 2 * Word(n, b, 0).index
+    eps, nu = algebra.index_masks(n, np.arange(word_count(n)))
+    assert np.array_equal(sigma >> 1, ((eps ^ nu) << (n - 1)) | eps)
+    sig = image_group._signed(sigma)
+    for t, table in enumerate(image_group._signed_tables(n)):
+        assert np.array_equal(image_group._after(table, sig), image_group._after(sig, table)), t
+    assert np.array_equal(image_group._after(sig, image_group._after(sig, sig)), np.arange(len(sig)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_v_codes_are_sigma_inverse_of_the_key(n):
+    # every element e commutes with sigma, so e(v_j) = sigma^-1(e(u_j)): the key fixes e.
+    # The whole rows of each level are those of the level before, each after its table
+    signed = image_group._signed_tables(n)
+    u, v = np.split(image_group._generator_words(n), 2)
+    inverse = np.argsort(image_group._signed(image_group.sigma(n)))
+    rows = _identity_row(n)[None]
+    for step, (keys, links) in enumerate(image_group._bfs_levels(signed, n, image_group.MAX_ELEMENTS)):
+        if step:
+            gen, parent = links[-1]
+            rows = np.take_along_axis(signed[gen], rows[parent], axis=1)
+        for k in (0, len(keys) - 1):
+            assert np.array_equal(rows[k], image_group._full_row(signed, links, k)), (step, k)
+        assert np.array_equal(rows[:, u], keys)
+        assert np.array_equal(rows[:, v], inverse[keys])
+
+
+def _sign_flip(n, words):
+    """The signed table that is -1 on each of `words` and the identity elsewhere."""
+    flip = np.arange(2 * word_count(n), dtype=np.uint16)
+    for x in words:
+        flip[[2 * x, 2 * x + 1]] = 2 * x + 1, 2 * x
+    return flip
+
+
+def test_bfs_raises_on_a_table_that_does_not_commute_with_sigma(monkeypatch):
+    # a RuntimeError, not an assert that python -O strips: -1 on u_2 alone, an
+    # involution that fixes word 0, takes sigma(u_2) = u_2 v_2 to itself but u_2 to -u_2
+    signed = image_group._signed_tables(3)
+    stack = np.vstack([signed, _sign_flip(3, [Word(3, 2, 0).index])])
+    message = "^table 4 does not commute with sigma, so a key would not fix its element$"
+    with pytest.raises(RuntimeError, match=message):
+        next(image_group._bfs_levels(stack, 3, image_group.MAX_ELEMENTS))
+    monkeypatch.setattr(image_group, "_signed_tables", lambda n: stack)
+    with pytest.raises(RuntimeError, match=message):
+        enumerate_group(3)
 
 
 @pytest.mark.parametrize("n, checks", [(2, 1), (3, 2), (4, 7), (5, 16)])
@@ -315,21 +370,21 @@ def test_enumeration_cap():
 
 @pytest.mark.parametrize("n, cap", [(3, 1), (4, 100), (5, 1000)])
 def test_cap_stops_before_full_rows_of_the_over_cap_level(monkeypatch, n, cap):
-    # the central test, which rebuilds full rows, sees each level the BFS
-    # yields; the level that passes the cap must raise before it is yielded
-    seen_rows = []
-    central_rows = image_group._central_rows
+    # the center, which rebuilds full rows, is decided once the BFS is done,
+    # so a run that passes the cap raises before it rebuilds any row
+    calls = []
+    full_row = image_group._full_row
 
-    def spy(keys, *args):
-        seen_rows.append(len(keys))
-        return central_rows(keys, *args)
+    def spy(*args):
+        calls.append(args[2])
+        return full_row(*args)
 
-    monkeypatch.setattr(image_group, "_central_rows", spy)
+    monkeypatch.setattr(image_group, "_full_row", spy)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_group(n, max_elements=cap)
-    assert 0 < sum(seen_rows) <= cap
-    # the levels below the cap reach the central test
-    assert len(seen_rows) > 1 or cap == 1
+    assert calls == []
+    enumerate_group(n)  # an uncapped run rebuilds the central rows through the spy
+    assert calls
 
 
 def _first_new_rows_reference(keys, gens, known):
@@ -345,53 +400,46 @@ def _first_new_rows_reference(keys, gens, known):
 
 
 def _packed(keys):
-    """Each key row padded to 8 codes with code 0, its targets as one uint64 and its signs as a second."""
-    padded = np.zeros((len(keys), 8), dtype=np.uint16)
+    """Each key row padded to 4 codes with code 0, its targets as one uint32 and its signs as a second."""
+    padded = np.zeros((len(keys), 4), dtype=np.uint16)
     padded[:, : keys.shape[1]] = keys
-    return np.stack([padded >> 1, padded & 1]).astype(np.uint8).view(np.uint64)[:, :, 0]
+    return np.stack([padded >> 1, padded & 1]).astype(np.uint8).view(np.uint32)[:, :, 0]
 
 
-@pytest.mark.parametrize("width", [4, 8])
-def test_first_new_rows_matches_first_copy_reference(width):
-    # exactly the first-copy oracle's positions and masks, in low-half order;
-    # the pool's rows are distinct in the low half, the targets of codes 0..3,
-    # which is the whole key at width 4
-    rng = np.random.default_rng(width)
-    pool = rng.integers(0, 512, size=(40, width), dtype=np.uint16)
-    pool[:4, 0] = 511  # target 255, the largest one byte holds
-    # rows that differ from another in one low-half target only
+@pytest.mark.parametrize("tables", [4, 8])
+def test_first_new_rows_matches_first_copy_reference(tables):
+    # exactly the first-copy oracle's positions and masks, in target order.
+    # As in a level step, each of `tables` gens gathers a row at most once, so
+    # no two equal candidate rows share a gen; the known rows may repeat
+    rng = np.random.default_rng(tables)
+    pool = rng.integers(0, 512, size=(40, 4), dtype=np.uint16)
+    pool[:4, 3] = 511  # target 255 in the top byte, the largest one byte holds
+    # rows that differ from another in one target only
     pool[20:] = pool[:20]
     pool[np.arange(20, 40), rng.integers(4, size=20)] ^= 2
-    assert len({row.tobytes() for row in pool[:, :4] >> 1}) == len(pool)
-    keys = pool[rng.integers(len(pool), size=600)]
-    targets, signs = _packed(keys)
+    assert len({row.tobytes() for row in pool >> 1}) == len(pool)
     seen_masks = set()
-    for known in (0, 1, 150):  # 150 known rows hold repeats of one another
-        gens = rng.integers(8, size=len(keys) - known).astype(np.uint8)
+    for known in (0, 1, 30):
+        # every table gathers pool row 0, so at known = 0 its mask holds them all
+        picks = [np.append(0, 1 + rng.permutation(len(pool) - 1)[: rng.integers(10, len(pool))]) for _ in range(tables)]
+        shuffle = rng.permutation(sum(map(len, picks)))
+        gens = np.repeat(np.arange(tables, dtype=np.uint8), list(map(len, picks)))[shuffle]
+        keys = pool[np.concatenate([rng.integers(len(pool), size=known), np.concatenate(picks)[shuffle]])]
+        targets, signs = _packed(keys)
         got, masks = image_group._new_rows(targets, signs, gens, known)
         want = _first_new_rows_reference(keys, gens, known)
         assert masks.dtype == np.uint8 and len(got) == len(masks) == len(want)
         assert dict(zip(got.tolist(), masks.tolist())) == want
         seen_masks |= set(want.values())
-        low = targets[known + got] & np.uint64(0xFFFFFFFF)
-        assert (low[1:] > low[:-1]).all()
-    assert len(seen_masks) > 8  # masks of several bits, not only one bit each
+        assert (targets[known + got][1:] > targets[known + got][:-1]).all()
+    # masks of several bits, up to every table's (255 at 8 tables, where the uint8 sums wrap)
+    assert len(seen_masks) > 8 and max(seen_masks) == 2**tables - 1
 
 
 @pytest.mark.parametrize("known", [0, 1, 2])
 def test_first_new_rows_rejects_rows_that_differ_in_signs_only(known):
     keys = np.array([[2, 4, 6, 8], [3, 4, 6, 8]], dtype=np.uint16)
     with pytest.raises(RuntimeError, match="^sign kernel: two elements agree on every target but not on every sign$"):
-        image_group._new_rows(*_packed(keys), np.zeros(2 - known, dtype=np.uint8), known)
-
-
-@pytest.mark.parametrize("known", [0, 1, 2])
-def test_first_new_rows_rejects_rows_that_differ_in_the_high_half_only(known):
-    # equal targets at codes 0..3, different at code 7: the sort merges the
-    # two rows, and the full target words must then agree
-    keys = np.array([[2, 4, 6, 8, 10, 12, 14, 16], [2, 4, 6, 8, 10, 12, 14, 18]], dtype=np.uint16)
-    message = "^low target halves collided: two elements agree on the low 32 bits of their targets only$"
-    with pytest.raises(RuntimeError, match=message):
         image_group._new_rows(*_packed(keys), np.zeros(2 - known, dtype=np.uint8), known)
 
 
@@ -424,10 +472,9 @@ def test_skipped_pairs_land_in_the_current_or_previous_level(monkeypatch, n):
     # that level or the one before; every pair it gathers, of that level or the next
     steps = _spied_steps(monkeypatch)
     signed = image_group._signed_tables(n)
-    base = image_group._generator_words(n)
     levels = [
         [image_group._full_row(signed, links, k) for k in range(len(keys))]
-        for keys, links in image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS)
+        for keys, links in image_group._bfs_levels(signed, n, image_group.MAX_ELEMENTS)
     ]
     assert len(steps) == len(levels)
     sets = [set()] + [{row.tobytes() for row in level} for level in levels] + [set()]
@@ -447,49 +494,47 @@ def test_skipped_pairs_land_in_the_current_or_previous_level(monkeypatch, n):
 def test_bfs_raises_on_a_table_with_no_inverse():
     # s_1 and s_2 alone: each has order 3, so its inverse s_i s_i is not in the stack
     signed = image_group._signed_tables(3)
-    base = image_group._generator_words(3)
     with pytest.raises(RuntimeError, match="^table 0 has no inverse in the stack"):
-        next(image_group._bfs_levels(signed[:2], base, image_group.MAX_ELEMENTS))
+        next(image_group._bfs_levels(signed[:2], 3, image_group.MAX_ELEMENTS))
     # nine tables do not fit a row's 8-bit table mask
     with pytest.raises(RuntimeError, match="^a row's table mask holds 8 tables, got 9$"):
-        next(image_group._bfs_levels(np.vstack([signed] * 2 + [signed[:1]]), base, image_group.MAX_ELEMENTS))
+        next(image_group._bfs_levels(np.vstack([signed] * 2 + [signed[:1]]), 3, image_group.MAX_ELEMENTS))
 
 
 def test_bfs_raises_on_a_table_that_moves_word_0():
     # a RuntimeError, not an assert that python -O strips: the keys are padded with code 0
     signed = image_group._signed_tables(2)
     swap = np.arange(signed.shape[1], dtype=np.uint16) ^ 2  # word 0 <-> word 1, an involution
-    levels = image_group._bfs_levels(np.vstack([signed, swap]), image_group._generator_words(2), 10)
+    levels = image_group._bfs_levels(np.vstack([signed, swap]), 2, 10)
     with pytest.raises(RuntimeError, match="^every table must fix word 0, the code the keys are padded with$"):
         next(levels)
 
 
 @pytest.mark.parametrize("n, order", [(2, 3), (3, 12), (4, 648), (5, 77760)])
 def test_low_target_halves_tell_the_elements_apart(n, order):
-    # the premise of `_new_rows`: the targets of key codes 0..3, the low 32
-    # bits of a packed target word, differ between any two elements
+    # the premise of `_new_rows`: the targets of a key, the codes at
+    # u_1..u_(n-1) packed in one uint32, differ between any two elements
     signed = image_group._signed_tables(n)
-    base = image_group._generator_words(n)
-    levels = image_group._bfs_levels(signed, base, image_group.MAX_ELEMENTS)
-    low = np.concatenate([keys[:, :4] >> 1 for keys, _ in levels])
+    levels = image_group._bfs_levels(signed, n, image_group.MAX_ELEMENTS)
+    low = np.concatenate([keys >> 1 for keys, _ in levels])
+    assert low.shape[1] == n - 1
     assert len(np.unique(low, axis=0)) == len(low) == enumerate_group(n)["imageOrder"] == order
     if n == 5:
-        # the low 24 bits, codes 0..2, give one value per element up to the centre only
+        # the low 24 bits, u_1..u_3, give one value per element up to the centre only
         assert len(np.unique(low[:, :3], axis=0)) == order // 3
 
 
 def test_bfs_raises_on_a_table_that_flips_one_sign_only():
-    # s_1, s_2 and their inverses at n = 3, plus the involution -1 on the code of
-    # one generator word: its row agrees with the identity's on every target.
-    # Then that flip after s_1, and its inverse, in place of the flip: the twin
-    # rows s_1 and flip.s_1 are two candidates of one level step
+    # s_1, s_2 and their inverses at n = 3, plus the involution -1 on the
+    # J-orbit u_2, u_2 v_2, v_2 of u_2, which commutes with sigma: its row agrees
+    # with the identity's on every target.  Then that flip after s_1, and its
+    # inverse, in place of the flip: the twin rows s_1 and flip.s_1 are two
+    # candidates of one level step
     signed = image_group._signed_tables(3)
-    base = image_group._generator_words(3)
-    flip, x = np.arange(signed.shape[1], dtype=np.uint16), 2 * base[1]
-    flip[x], flip[x + 1] = x + 1, x
+    flip = _sign_flip(3, [Word(3, 2, 0).index, Word(3, 2, 2).index, Word(3, 0, 2).index])
     flipped = image_group._after(flip, signed[0])
     for extra in ([flip], [flipped, np.argsort(flipped).astype(np.uint16)]):
-        levels = image_group._bfs_levels(np.vstack([signed, *extra]), base, image_group.MAX_ELEMENTS)
+        levels = image_group._bfs_levels(np.vstack([signed, *extra]), 3, image_group.MAX_ELEMENTS)
         message = "^sign kernel: two elements agree on every target but not on every sign$"
         with pytest.raises(RuntimeError, match=message):
             list(levels)
@@ -497,7 +542,7 @@ def test_bfs_raises_on_a_table_that_flips_one_sign_only():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_every_table_fixes_word_0(n):
-    # the BFS pads each key to 8 codes with code 0, which must gather to code 0
+    # the BFS pads each key to 4 codes with code 0, which must gather to code 0
     signed = image_group._signed_tables(n)
     assert len(signed) == 2 * (n - 1)
     assert (signed[:, 0] == 0).all()
