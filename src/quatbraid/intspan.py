@@ -28,7 +28,7 @@ for the exact Q-rank of all T-words.  It works on sparse rows {word: Python
 int} from start to end, in the n-strand word numbering: `_times_t` multiplies
 a row by T_i term by term, signs read off the masks the tables are expanded
 from (so the relation check of the tables vouches for them), and `_insert`
-keeps the basis fully reduced, with no bound on the entries.
+keeps the basis fully reduced, with no bound on the entries, in one pass per product.
 `hecke.subalgebra_dimensions` explains why that rank is the dimension of the
 subalgebra generated by the braid generators.
 
@@ -116,49 +116,50 @@ def _magnitude(*arrays: np.ndarray) -> int:
     return max((max(-int(a.min()), int(a.max())) for a in arrays if a.size), default=0)
 
 
-def _subtract(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
-    """a set to (b[p] a - a[p] b) / gcd(a[p], b[p]), zero at column p, in place; zeros stay as entries."""
-    if b[p] == 1:  # the usual case: the rows are primitive with positive pivots
-        y = a[p]
-    else:
-        g = math.gcd(a[p], b[p])
-        x, y = b[p] // g, a[p] // g
-        for c in a:
-            a[c] *= x
-    for c, v in b.items():
-        a[c] = a.get(c, 0) - y * v
-    return a
-
-
 def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
     """row, which has no zero entries, divided by the gcd of its entries and signed so that row[pivot] > 0."""
     g = math.gcd(*row.values()) * (1 if row[pivot] > 0 else -1)
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
+def _cofactor(row: dict[int, int], y: int, pivot: int) -> int:
+    """row times pivot/g in place, g = gcd(y, pivot); returns y/g, the multiple of the pivot's row to subtract."""
+    g = math.gcd(y, pivot)
+    for c in row:
+        row[c] *= pivot // g
+    return y // g
+
+
 def _insert(rows: dict[int, dict[int, int]], holders: dict[int, set[int]], vec: dict[int, int]) -> int | None:
-    """Add the sparse row vec (given up by the caller) to the fully reduced basis
-    `rows`, pivot -> row, with `holders`, a defaultdict(set) from each column to
-    the pivots of the rows nonzero there; return the new pivot, or None if vec
-    lies in the span.  vec is reduced by the rows of the pivots it holds, each
-    zero at the other pivots; its first nonzero column q is the new pivot,
-    cleared from the rows that hold it.  Rows are replaced, never changed in place.
+    """Add the sparse row vec (given up by the caller, zero entries allowed) to the
+    fully reduced basis `rows`, pivot -> row, with `holders`, a defaultdict(set) from
+    each column to the pivots of the rows nonzero there; return the new pivot, or
+    None if vec lies in the span.  vec is reduced in place by the rows of the pivots
+    where it is nonzero, each zero at the other pivots; its first nonzero column q is
+    the new pivot, cleared from the rows that hold it.  Rows are replaced, never changed.
     """
-    for p in [c for c in vec if c in rows]:
-        _subtract(vec, rows[p], p)
+    for p, row in [(c, rows[c]) for c, v in vec.items() if v and c in rows]:
+        y = vec[p] if row[p] == 1 else _cofactor(vec, vec[p], row[p])  # pivots are mostly 1
+        for c, v in row.items():
+            vec[c] = vec.get(c, 0) - y * v
     vec = {c: v for c, v in vec.items() if v}
     if not vec:
         return None
     q = min(vec)
     vec = _primitive(vec, q)
-    for p in list(holders[q]):
-        new = _subtract(dict(rows[p]), vec, q)
-        rows[p] = new = _primitive({c: v for c, v in new.items() if v}, p)
-        for c in vec:
-            if c in new:
+    for p in holders.pop(q, ()):
+        new = dict(rows[p])
+        y = new[q] if vec[q] == 1 else _cofactor(new, new[q], vec[q])
+        for c, v in vec.items():  # the index changes only where a row gains or loses a column
+            if c not in new:
+                new[c] = -y * v
                 holders[c].add(p)
-            else:
+            elif t := new[c] - y * v:
+                new[c] = t
+            else:  # column q drops out of every row here
+                del new[c]
                 holders[c].discard(p)
+        rows[p] = _primitive(new, p)
     rows[q] = vec
     for c in vec:
         holders[c].add(q)
@@ -271,12 +272,11 @@ def _t_word_basis(n: int) -> tuple[dict[int, dict[int, int]], list[int]]:
     all j is closed under every T_i given B1, B2 and E1 (T^2 = 2T - 4), the
     coset decomposition of the Hecke algebra (Jones 1987; Geck-Pfeiffer 2000, 4.4).
 
-    A finding at n = 2..7 that nothing here relies on: the entries are -1, 0, 1,
-    the identity word's row is that word alone, and every other row has three
-    entries, on the words x, Jx, J^2 x, where J(eps, nu) = (eps ^ nu, eps)
-    (per strand v_j -> u_j -> u_j v_j -> v_j), J^3 x = x and
-    x ^ Jx ^ J^2 x = 0.  Each word index is in one row, so the rank is
-    (4^(n-1) + 2)/3.
+    The rank is at most (4^(n-1) + 2)/3: sigma(x) = s(x) Jx (`image_group.sigma`,
+    J(eps, nu) = (eps ^ nu, eps)) is an algebra automorphism fixing each T_i, so
+    the T-words lie in Fix(sigma), spanned by 1 and one signed sum per J-orbit
+    {x, Jx, J^2 x} (J fixes only word 0, sigma^3 = 1).  The tests pin each row
+    at n = 2..7 as such a sum, row[Jx] = s(x) row[x], or as word 0 alone.
     """
     rows, holders, ranks = {0: {0: 1}}, collections.defaultdict(set, {0: {0}}), [1]
     for m in range(2, n + 1):

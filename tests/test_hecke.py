@@ -431,12 +431,22 @@ def test_t_word_rank_matches_sympy(n):
     assert rank(rounds - 1) == rank(rounds) == t_word_ranks(n)[-1]
 
 
-def _basis(*vecs):
-    """The fully reduced basis of dense integer rows, each added by `_insert` from empty."""
+def _basis(*vecs, zeros=False):
+    """The fully reduced basis of dense integer rows, each added by `_insert_keeping_rows`
+    from empty, as its nonzero entries (every entry when zeros is true)."""
     rows, holders = {}, collections.defaultdict(set)
     for vec in vecs:
-        _insert(rows, holders, {c: v for c, v in enumerate(vec) if v})
+        _insert_keeping_rows(rows, holders, {c: v for c, v in enumerate(vec) if v or zeros})
     return rows, holders
+
+
+def _insert_keeping_rows(rows, holders, vec):
+    """`_insert`, checked to leave every row dict of the basis it is given as it was:
+    the closure's frontier still refers to the rows it replaces."""
+    before = [(row, dict(row)) for row in rows.values()]
+    added = _insert(rows, holders, vec)
+    assert all(row == copy for row, copy in before)
+    return added
 
 
 def _holders(rows):
@@ -499,9 +509,10 @@ def test_prefix_basis_equals_the_full_space_closure(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_basis_shape_finding(n):
-    # a finding the closure does not rely on: entries in {-1, 0, 1}, the
-    # identity word's row is that word alone, every other row has three
-    # entries, and each word index lies in exactly one row
+    # the T-words lie in Fix(sigma), spanned by 1 and one signed sum per J-orbit,
+    # and the closure reaches all of it: entries in {-1, 0, 1}, the identity
+    # word's row is that word alone, every other row has three entries, and
+    # each word index lies in exactly one row
     rows, ranks = _t_word_basis(n)
     assert {v for row in rows.values() for v in row.values()} <= {-1, 1}
     assert rows[Word.identity(n).index] == {Word.identity(n).index: 1}
@@ -516,10 +527,20 @@ def test_basis_shape_finding(n):
         eps, nu = divmod(x, half)
         return (eps ^ nu) * half + eps
 
+    # and its signs are sigma's, sigma(x) = s(x) Jx, so sigma fixes the row:
+    # row[Jx] = s(x) row[x] along the orbit of its pivot
+    sigma = image_group.sigma(n)
+    assert np.array_equal(sigma >> 1, [j(x) for x in range(word_count(n))])
+
+    def s(x):
+        return -1 if sigma[x] & 1 else 1
+
     for p, row in rows.items():
         if p != Word.identity(n).index:
             assert set(row) == {p, j(p), j(j(p))}, (n, p, row)
             assert p ^ j(p) ^ j(j(p)) == 0 and j(j(j(p))) == p, (n, p)
+            assert row[j(p)] == s(p) * row[p], (n, p, row)
+            assert row[j(j(p))] == s(j(p)) * row[j(p)], (n, p, row)
 
 
 def _primitive_rref(vecs):
@@ -552,6 +573,11 @@ def test_sparse_insert_matches_sympy(data):
     _assert_fully_reduced(rows, holders)
     assert len(rows) == sympy.Matrix(vecs).rank()
     assert rows == _primitive_rref(vecs)
+    # the closure's products hold zero entries, also at pivot columns: the
+    # same vectors with every zero kept give the same basis, in the same order
+    dense, dense_holders = _basis(*vecs, zeros=True)
+    _assert_fully_reduced(dense, dense_holders)
+    assert list(dense.items()) == list(rows.items())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -769,18 +795,24 @@ def test_t_action_tables_are_word_major(n):
 
 
 def test_reduce_with_non_unit_pivots():
-    # lcm(2, 3) = 6: 6 (1, 1, 1) - 3 (2, 0, 1) - 2 (0, 3, 1) = (0, 0, 1)
+    # lcm(2, 3) = 6: 6 (1, 1, 1) - 3 (2, 0, 1) - 2 (0, 3, 1) = (0, 0, 1);
+    # every insert, `_basis`'s too, leaves the row dicts it replaces unchanged
     rows, holders = _basis([2, 0, 1], [0, 3, 1])
     assert rows == {0: {0: 2, 2: 1}, 1: {1: 3, 2: 1}}
     # (2, 0, 1) and (4, 3, 3) lie in the span; (2, 3, 0) reduces to (0, 0, -1)
-    assert _insert(rows, holders, {0: 2, 2: 1}) is None
-    assert _insert(rows, holders, {0: 4, 1: 3, 2: 3}) is None
+    assert _insert_keeping_rows(rows, holders, {0: 2, 2: 1}) is None
+    assert _insert_keeping_rows(rows, holders, {0: 4, 1: 3, 2: 3}) is None
     other, other_holders = _basis([2, 0, 1], [0, 3, 1], [2, 3, 0])
     # adding (0, 0, 1) clears the last column of the basis, which stays primitive
-    assert _insert(rows, holders, {0: 1, 1: 1, 2: 1}) == 2
+    assert _insert_keeping_rows(rows, holders, {0: 1, 1: 1, 2: 1}) == 2
     assert rows == other == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}} and list(rows) == [0, 1, 2]
     _assert_fully_reduced(rows, holders)
     _assert_fully_reduced(other, other_holders)
+    # a new row with pivot entry 2 scales the row it clears, which also loses column 3:
+    # 2 (1, 0, 1, 2, 1) - (0, 0, 2, 4, 1) = (2, 0, 0, 0, 1)
+    rows, holders = _basis([1, 0, 1, 2, 1], [0, 0, 2, 4, 1])
+    assert rows == {0: {0: 2, 4: 1}, 2: {2: 2, 3: 4, 4: 1}}
+    _assert_fully_reduced(rows, holders)
 
 
 def test_closure_overflow_guard():
